@@ -1,14 +1,14 @@
-"""Record the reference output digest of every workload for a set of seeds.
+"""Record the reference output digest of every workload.
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/make_reference.py --seeds 0-31 --held-out 1009
+    python3 perfbench/make_reference.py
 
-Runs one untimed repetition per (workload, seed), requires the
-workload's own oracle checks to pass, and writes the digests to
-``perfbench/reference.json``. ``run.py`` compares every repetition it
-times against these digests, so a change to the program that alters an
-output shows up as ``failed`` > 0. Re-record only when an output is
+Runs one untimed repetition per workload for seeds 0-31 and the held-out
+seed, requires the workload's own oracle checks to pass, and rewrites
+``perfbench/reference.json`` whole. ``run.py`` compares every repetition
+it times against these digests, so a change to the program that alters
+an output shows up as ``failed`` > 0. Re-record only when an output is
 meant to change, and say so in the change that does it.
 
 The held-out seed is recorded like the others but is not used while a
@@ -17,7 +17,6 @@ change is being tuned: a claimed gain is confirmed on it afterwards.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -29,48 +28,30 @@ sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS, make_workload  # noqa: E402
 
-
-def _seeds(text: str) -> list[int]:
-    seeds: list[int] = []
-    for part in text.split(","):
-        low, _, high = part.partition("-")
-        seeds.extend(range(int(low), int(high or low) + 1))
-    return seeds
+SEEDS = range(32)
+HELD_OUT = 1009
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0-31", help="e.g. 0-31 or 1,2,5-9")
-    parser.add_argument("--held-out", type=int, default=1009)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    args = parser.parse_args(argv)
-
+def main() -> int:
     root = Path.cwd()
     sys.path.insert(0, str(root / "src"))
-    out = HERE / "reference.json"
-    data = json.loads(out.read_text()) if out.is_file() else {}
-    data["held_out_seed"] = args.held_out
     workdir = root / ".perfbench" / "work" / f"reference-{os.getpid()}"
-    seeds = _seeds(args.seeds) + [args.held_out]
+    data: dict = {"held_out_seed": HELD_OUT, "workloads": {}}
     try:
-        for name in args.workloads.split(","):
+        for name in WORKLOADS:
             workload = make_workload(name)
-            entry = data.setdefault("workloads", {}).setdefault(name, {})
-            if entry.get("sizes") != workload.sizes:
-                entry.clear()
-                entry["sizes"] = workload.sizes
-            digests = entry.setdefault("digests", {})
-            for seed in seeds:
+            digests: dict[str, str] = {}
+            for seed in [*SEEDS, HELD_OUT]:
                 inputs = workload.build(seed, workdir)
                 digest, problems = workload.verify(inputs, workload.run(inputs))
                 if problems:
                     raise SystemExit(f"{name} seed {seed}: {problems}")
                 digests[str(seed)] = digest
-                entry["digests"] = dict(sorted(digests.items(), key=lambda kv: int(kv[0])))
-                out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-                print(f"{name} seed {seed}: {digests[str(seed)]}", flush=True)
+                print(f"{name} seed {seed}: {digest}", flush=True)
+            data["workloads"][name] = {"sizes": workload.sizes, "digests": digests}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    (HERE / "reference.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -11,8 +11,8 @@ the workload's inputs; the program receives only those inputs.
 A run has three phases:
 
 1. Set-up: ``import repro`` plus building the workload's inputs, timed
-   in this process and in two fresh interpreters started one after the
-   other; ``setup_s`` is the median of the three.
+   in this process and in four fresh interpreters started one after the
+   other; ``setup_s`` is the median of the five.
 2. Timed phase: whole repetitions of the workload, back to back, until
    another one would take their timed seconds past ``--seconds`` (at
    least one). With ``--trace 1`` there are exactly two repetitions,
@@ -64,7 +64,7 @@ END_TO_END = {
 }
 
 #: Setting-up samples per run: this process plus fresh interpreters.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 
 REFERENCE = HERE / "reference.json"
 

@@ -83,7 +83,9 @@ class Workload:
 
 class ClusterDay(Workload):
     name = "cluster-day"
-    modules = ("repro", "repro.capacity")
+    # repro.capacity imports the engine only inside its vector decide;
+    # importing it here keeps the kernel's import-time certify() in set-up.
+    modules = ("repro", "repro.capacity", "repro.engine")
 
     def build(self, seed: int, workdir: Path) -> dict[str, Any]:
         from repro.capacity import make_capacity_scenario
