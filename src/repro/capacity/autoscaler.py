@@ -26,6 +26,7 @@ from ..cluster.node import Node
 from ..cluster.pod import Pod
 from ..errors import SchedulingError
 from ..obs import Observer
+from ..obs.events import NodeDrainEvent, NodePoolEvent
 from .model import CapacityConfig
 from .placement import PlacementEngine
 
@@ -99,11 +100,13 @@ class NodePoolAutoscaler:
                 self.placement.register_node(self._new_node_named(name))
                 joined.append(name)
                 if self.observer is not None:
-                    self.observer.node_pool(
-                        minute,
-                        action="provisioned",
-                        node=name,
-                        node_count=self.ready_count,
+                    self.observer.emit(
+                        NodePoolEvent(
+                            minute=minute,
+                            action="provisioned",
+                            node=name,
+                            node_count=self.ready_count,
+                        )
                     )
             else:
                 still_booting.append((ready_minute, name))
@@ -139,25 +142,29 @@ class NodePoolAutoscaler:
             if node.pods:
                 still_draining.append(name)
                 if self.observer is not None:
-                    self.observer.node_drain(
-                        minute,
-                        node=name,
-                        action="waiting",
-                        remaining_pods=len(node.pods),
+                    self.observer.emit(
+                        NodeDrainEvent(
+                            minute=minute,
+                            node=name,
+                            action="waiting",
+                            remaining_pods=len(node.pods),
+                        )
                     )
             else:
                 self.placement.deregister_node(name)
                 self.drains_completed += 1
                 released.append(name)
                 if self.observer is not None:
-                    self.observer.node_drain(
-                        minute, node=name, action="complete"
+                    self.observer.emit(
+                        NodeDrainEvent(minute=minute, node=name, action="complete")
                     )
-                    self.observer.node_pool(
-                        minute,
-                        action="removed",
-                        node=name,
-                        node_count=self.ready_count,
+                    self.observer.emit(
+                        NodePoolEvent(
+                            minute=minute,
+                            action="removed",
+                            node=name,
+                            node_count=self.ready_count,
+                        )
                     )
         self.draining = still_draining
         return released
@@ -175,7 +182,9 @@ class NodePoolAutoscaler:
         self.placement.cordon(name)
         self.draining.append(name)
         if self.observer is not None:
-            self.observer.node_drain(minute, node=name, action="cordon", reason=reason)
+            self.observer.emit(
+                NodeDrainEvent(minute=minute, node=name, action="cordon", reason=reason)
+            )
         return True
 
     def evaluate(
@@ -209,12 +218,14 @@ class NodePoolAutoscaler:
             )
             self.scale_out_events += 1
             if self.observer is not None:
-                self.observer.node_pool(
-                    minute,
-                    action="scale_out",
-                    node=name,
-                    node_count=self.ready_count,
-                    reason=f"pending:{pending_millicores}m",
+                self.observer.emit(
+                    NodePoolEvent(
+                        minute=minute,
+                        action="scale_out",
+                        node=name,
+                        node_count=self.ready_count,
+                        reason=f"pending:{pending_millicores}m",
+                    )
                 )
         self._pressure_streak = 0
 
@@ -251,12 +262,14 @@ class NodePoolAutoscaler:
         self.scale_in_events += 1
         self.request_drain(victim, minute, reason="scale-in")
         if self.observer is not None:
-            self.observer.node_pool(
-                minute,
-                action="scale_in",
-                node=victim,
-                node_count=self.ready_count,
-                reason=f"utilization:{utilization:.3f}",
+            self.observer.emit(
+                NodePoolEvent(
+                    minute=minute,
+                    action="scale_in",
+                    node=victim,
+                    node_count=self.ready_count,
+                    reason=f"utilization:{utilization:.3f}",
+                )
             )
         self._idle_streak = 0
 

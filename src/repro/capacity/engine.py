@@ -29,7 +29,6 @@ throughout — two runs serialise byte-identically.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,15 @@ from ..cluster.resources import MILLICORES_PER_CORE, ResourceSpec
 from ..core import CaasperConfig, CaasperRecommender
 from ..faults.plan import NodeFault, _mix
 from ..obs import Observer
+from ..obs.events import (
+    DecisionEvent,
+    FaultInjectedEvent,
+    NodeContentionEvent,
+    PodPendingEvent,
+    PodScheduledEvent,
+    ResizeDeferredEvent,
+    ResizeEvent,
+)
 from .autoscaler import NodePoolAutoscaler
 from .contention import water_fill
 from .model import CapacityConfig, TenantSpec
@@ -103,10 +111,6 @@ class ClusterEngine:
         decisions, certified at import. Only active without an observer
         (the scalar path emits per-decision derivations the kernels do
         not materialise).
-    time_phases:
-        Accumulate per-phase wall time into :attr:`phase_seconds`
-        (``recommender`` / ``placement`` / ``contention``). Off by
-        default so unobserved runs read no clocks.
     """
 
     def __init__(
@@ -114,18 +118,11 @@ class ClusterEngine:
         scenario: CapacityScenario,
         observer: Observer | None = None,
         vector_decide: bool = True,
-        time_phases: bool = False,
     ) -> None:
         self.scenario = scenario
         self.config: CapacityConfig = scenario.config
         self.observer = observer
         self.vector_decide = vector_decide
-        self.time_phases = time_phases
-        self.phase_seconds: dict[str, float] = {
-            "recommender": 0.0,
-            "placement": 0.0,
-            "contention": 0.0,
-        }
         self.placement = PlacementEngine()
         self.autoscaler: NodePoolAutoscaler
         self.tenants: list[_TenantState] = []
@@ -210,11 +207,13 @@ class ClusterEngine:
                 pressure[name] = pressure.get(name, 0.0) + spec.pressure_cores
             self.faults_fired += 1
             if self.observer is not None:
-                self.observer.fault_injected(
-                    minute,
-                    fault="node_pressure",
-                    target=",".join(chosen),
-                    detail=f"{spec.pressure_cores} cores reserved",
+                self.observer.emit(
+                    FaultInjectedEvent(
+                        minute=minute,
+                        fault="node_pressure",
+                        target=",".join(chosen),
+                        detail=f"{spec.pressure_cores} cores reserved",
+                    )
                 )
         return pressure
 
@@ -255,13 +254,15 @@ class ClusterEngine:
         )
         if destination is not None:
             if self.observer is not None:
-                self.observer.pod_scheduled(
-                    minute,
-                    pod=pod.name,
-                    node=destination.name,
-                    outcome="migrated",
-                    requested_millicores=new_spec.cpu_request_millicores,
-                    reason="resize-capacity",
+                self.observer.emit(
+                    PodScheduledEvent(
+                        minute=minute,
+                        pod=pod.name,
+                        node=destination.name,
+                        outcome="migrated",
+                        requested_millicores=new_spec.cpu_request_millicores,
+                        reason="resize-capacity",
+                    )
                 )
             self._finish_resize(state, minute, decided, target)
             return
@@ -269,11 +270,13 @@ class ClusterEngine:
         if state.deferred is None:
             self.deferred_resizes += 1
             if self.observer is not None:
-                self.observer.resize_deferred(
-                    minute,
-                    reason="capacity",
-                    target_cores=target,
-                    decided_minute=decided,
+                self.observer.emit(
+                    ResizeDeferredEvent(
+                        minute=minute,
+                        reason="capacity",
+                        target_cores=target,
+                        decided_minute=decided,
+                    )
                 )
         state.inflight = None
         state.deferred = (decided, target)
@@ -282,11 +285,13 @@ class ClusterEngine:
         self, state: _TenantState, minute: int, decided: int, target: int
     ) -> None:
         if self.observer is not None:
-            self.observer.resize(
-                minute,
-                decided_minute=decided,
-                from_cores=state.limit_cores,
-                to_cores=target,
+            self.observer.emit(
+                ResizeEvent(
+                    minute=minute,
+                    decided_minute=decided,
+                    from_cores=state.limit_cores,
+                    to_cores=target,
+                )
             )
         state.limit_cores = target
         state.resizes += 1
@@ -305,11 +310,13 @@ class ClusterEngine:
                 if minute - decided > ttl:
                     state.deferred = None
                     if self.observer is not None:
-                        self.observer.resize_deferred(
-                            minute,
-                            reason="abandoned",
-                            target_cores=target,
-                            decided_minute=decided,
+                        self.observer.emit(
+                            ResizeDeferredEvent(
+                                minute=minute,
+                                reason="abandoned",
+                                target_cores=target,
+                                decided_minute=decided,
+                            )
                         )
                     continue
                 if state.pod.is_serving:
@@ -340,26 +347,26 @@ class ClusterEngine:
             )
             if node is not None:
                 if self.observer is not None:
-                    self.observer.pod_scheduled(
-                        minute,
-                        pod=state.pod.name,
-                        node=node.name,
-                        outcome="placed",
-                        requested_millicores=(
-                            state.pod.spec.cpu_request_millicores
-                        ),
-                        reason="pending-queue",
+                    self.observer.emit(
+                        PodScheduledEvent(
+                            minute=minute,
+                            pod=state.pod.name,
+                            node=node.name,
+                            outcome="placed",
+                            requested_millicores=state.pod.spec.cpu_request_millicores,
+                            reason="pending-queue",
+                        )
                     )
             else:
                 state.pending_minutes += 1
                 if self.observer is not None:
-                    self.observer.pod_pending(
-                        minute,
-                        pod=state.pod.name,
-                        requested_millicores=(
-                            state.pod.spec.cpu_request_millicores
-                        ),
-                        reason="no-fit",
+                    self.observer.emit(
+                        PodPendingEvent(
+                            minute=minute,
+                            pod=state.pod.name,
+                            requested_millicores=state.pod.spec.cpu_request_millicores,
+                            reason="no-fit",
+                        )
                     )
 
     # -- the minute loop ----------------------------------------------------------
@@ -370,7 +377,6 @@ class ClusterEngine:
         interval = self.config.decision_interval_minutes
         drains = dict(self.scenario.drains)
         for minute in range(minutes):
-            mark = time.perf_counter() if self.time_phases else 0.0
             self.autoscaler.tick_provisioning(minute)
             self.autoscaler.tick_drains(minute, self._in_rollout)
             if minute in drains:
@@ -380,18 +386,8 @@ class ClusterEngine:
             pressure = self._node_pressure(minute)
             self._tick_resizes(minute)
             self._tick_pending(minute)
-            if self.time_phases:
-                now = time.perf_counter()
-                self.phase_seconds["placement"] += now - mark
-                mark = now
             throttled_now = self._observe_minute(minute, pressure)
-            if self.time_phases:
-                now = time.perf_counter()
-                self.phase_seconds["contention"] += now - mark
-                mark = now
             self._decide(minute, interval)
-            if self.time_phases:
-                self.phase_seconds["recommender"] += time.perf_counter() - mark
             # Unschedulable pods, capacity-blocked resizes, and demand
             # lost to contention all read as "the pool is too small".
             pending_millicores = self._pending_millicores() + int(
@@ -434,13 +430,15 @@ class ClusterEngine:
                 self.contention_core_minutes += throttled
                 self.throttled_minutes += 1
                 if self.observer is not None:
-                    self.observer.node_contention(
-                        minute,
-                        node=node.name,
-                        demand_cores=total,
-                        capacity_cores=capacity,
-                        throttled_cores=throttled,
-                        pods=len(serving),
+                    self.observer.emit(
+                        NodeContentionEvent(
+                            minute=minute,
+                            node=node.name,
+                            demand_cores=total,
+                            capacity_cores=capacity,
+                            throttled_cores=throttled,
+                            pods=len(serving),
+                        )
                     )
             for pod, value in zip(serving, delivered):
                 delivered_by_pod[pod.name] = value
@@ -491,13 +489,15 @@ class ClusterEngine:
             if target == state.limit_cores:
                 continue
             if self.observer is not None:
-                self.observer.decision(
-                    minute,
-                    recommender=state.recommender.name,
-                    current_cores=state.limit_cores,
-                    raw_target_cores=int(target),
-                    target_cores=int(target),
-                    derivation=state.recommender.last_decision,
+                self.observer.emit(
+                    DecisionEvent.from_derivation(
+                        minute=minute,
+                        recommender=state.recommender.name,
+                        current_cores=state.limit_cores,
+                        raw_target_cores=int(raw_target),
+                        target_cores=int(target),
+                        derivation=state.recommender.last_decision,
+                    )
                 )
             state.inflight = (
                 minute,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from ..baselines.base import Recommender
 from ..db.service import DBaaSService, ServiceMinute
 from ..errors import ConfigError
+from ..obs.events import DecisionEvent
 from ..obs.observer import Observer
 from .events import EventLog
 from .metrics import MetricsServer
@@ -123,14 +124,16 @@ class ControlLoop:
         consult_start = time.perf_counter() if observer is not None else 0.0
         target = int(self.recommender.recommend(minute, max(current, 1)))
         if observer is not None:
-            observer.decision(
-                minute=minute,
-                recommender=self.recommender.name,
-                current_cores=current,
-                raw_target_cores=target,
-                target_cores=self.scaler.clamp(target),
-                derivation=self.recommender.last_decision,
-                window_stats=self.recommender.window_stats(),
-                elapsed_seconds=time.perf_counter() - consult_start,
+            observer.emit(
+                DecisionEvent.from_derivation(
+                    minute=minute,
+                    recommender=self.recommender.name,
+                    current_cores=current,
+                    raw_target_cores=target,
+                    target_cores=self.scaler.clamp(target),
+                    derivation=self.recommender.last_decision,
+                    window_stats=self.recommender.window_stats(),
+                    elapsed_seconds=time.perf_counter() - consult_start,
+                )
             )
         return target

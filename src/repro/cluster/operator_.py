@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import ClusterStateError, ConfigError
+from ..obs.events import ResizeEvent
 from .events import EventKind, EventLog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -382,9 +383,11 @@ class DbOperator:
             return
         from_cores = self._update_from_cores
         self._update_from_cores = None
-        self.observer.resize(
-            minute=minute,
-            decided_minute=decided_minute,
-            from_cores=int(round(from_cores if from_cores is not None else 0)),
-            to_cores=int(round(to_cores)),
+        self.observer.emit(
+            ResizeEvent(
+                minute=minute,
+                decided_minute=decided_minute,
+                from_cores=int(round(from_cores if from_cores is not None else 0)),
+                to_cores=int(round(to_cores)),
+            )
         )

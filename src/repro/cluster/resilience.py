@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING
 from ..baselines.base import Recommender
 from ..db.service import DBaaSService, ServiceMinute
 from ..errors import ConfigError, ReproError
+from ..obs.events import QuarantineEvent, RetryEvent, RollbackEvent, SafeModeEvent
 from ..obs.observer import Observer
 from .controller import ControlLoop, ControlLoopConfig
 from .events import EventLog
@@ -319,9 +320,13 @@ class ResilientControlLoop(ControlLoop):
             self.safe_mode_entries += 1
             self._safe_mode_entered_minute = minute
             if self.observer is not None:
-                self.observer.safe_mode(minute, reason=reason, action="enter")
+                self.observer.emit(
+                    SafeModeEvent(minute=minute, reason=reason, action="enter")
+                )
         elif self.observer is not None:
-            self.observer.safe_mode(minute, reason=reason, action="hold")
+            self.observer.update_metrics(
+                SafeModeEvent(minute=minute, reason=reason, action="hold")
+            )
 
     def _exit_safe_mode(self, minute: int) -> None:
         if not self.safe_mode:
@@ -329,11 +334,13 @@ class ResilientControlLoop(ControlLoop):
         self.safe_mode = False
         self.safe_mode_exits += 1
         if self.observer is not None:
-            self.observer.safe_mode(
-                minute,
-                reason="telemetry recovered",
-                action="exit",
-                minutes_in_safe_mode=minute - self._safe_mode_entered_minute,
+            self.observer.emit(
+                SafeModeEvent(
+                    minute=minute,
+                    reason="telemetry recovered",
+                    action="exit",
+                    minutes_in_safe_mode=minute - self._safe_mode_entered_minute,
+                )
             )
 
     # -- decisions, quarantine and retry ------------------------------------------
@@ -348,21 +355,25 @@ class ResilientControlLoop(ControlLoop):
             self.quarantined_consults += 1
             self._quarantine_streak += 1
             if self.observer is not None:
-                self.observer.quarantine(
-                    minute,
-                    component="recommender",
-                    error=str(exc),
-                    degraded_to="hold",
+                self.observer.emit(
+                    QuarantineEvent(
+                        minute=minute,
+                        component="recommender",
+                        error=str(exc),
+                        degraded_to="hold",
+                    )
                 )
             return
         if self.faults is not None and self.faults.consume_forecaster_fire():
             self.forecaster_degradations += 1
             if self.observer is not None:
-                self.observer.quarantine(
-                    minute,
-                    component="forecaster",
-                    error="injected forecast failure",
-                    degraded_to="reactive",
+                self.observer.emit(
+                    QuarantineEvent(
+                        minute=minute,
+                        component="forecaster",
+                        error="injected forecast failure",
+                        degraded_to="reactive",
+                    )
                 )
         # The consult landed: a previously-quarantined recommender has
         # recovered, which the summary reports as a quarantine exit.
@@ -399,13 +410,15 @@ class ResilientControlLoop(ControlLoop):
         )
         self.retries_scheduled += 1
         if self.observer is not None:
-            self.observer.retry(
-                minute,
-                target_cores=target_cores,
-                attempt=attempt,
-                outcome="scheduled",
-                delay_minutes=delay,
-                decided_minute=decided_minute,
+            self.observer.emit(
+                RetryEvent(
+                    minute=minute,
+                    target_cores=target_cores,
+                    attempt=attempt,
+                    outcome="scheduled",
+                    delay_minutes=delay,
+                    decided_minute=decided_minute,
+                )
             )
 
     def _retry_pending(self, minute: int) -> None:
@@ -417,12 +430,14 @@ class ResilientControlLoop(ControlLoop):
             self._pending = None
             self.retries_abandoned += 1
             if self.observer is not None:
-                self.observer.retry(
-                    minute,
-                    target_cores=pending.target_cores,
-                    attempt=pending.attempt,
-                    outcome="abandoned",
-                    decided_minute=pending.decided_minute,
+                self.observer.emit(
+                    RetryEvent(
+                        minute=minute,
+                        target_cores=pending.target_cores,
+                        attempt=pending.attempt,
+                        outcome="abandoned",
+                        decided_minute=pending.decided_minute,
+                    )
                 )
             return
         if minute < pending.next_attempt_minute:
@@ -436,12 +451,14 @@ class ResilientControlLoop(ControlLoop):
         if self.scaler.try_enact(pending.target_cores, minute, self.events):
             self.retries_succeeded += 1
             if self.observer is not None:
-                self.observer.retry(
-                    minute,
-                    target_cores=pending.target_cores,
-                    attempt=pending.attempt,
-                    outcome="succeeded",
-                    decided_minute=pending.decided_minute,
+                self.observer.emit(
+                    RetryEvent(
+                        minute=minute,
+                        target_cores=pending.target_cores,
+                        attempt=pending.attempt,
+                        outcome="succeeded",
+                        decided_minute=pending.decided_minute,
+                    )
                 )
             self._pending = None
             return
@@ -469,12 +486,14 @@ class ResilientControlLoop(ControlLoop):
         # consultation will re-derive a target from fresh telemetry.
         self._pending = None
         if self.observer is not None:
-            self.observer.rollback(
-                minute,
-                update_id=update_id,
-                from_cores=abandoned_cores,
-                to_cores=int(round(prev.limit_cores)),
-                stuck_minutes=stuck,
+            self.observer.emit(
+                RollbackEvent(
+                    minute=minute,
+                    update_id=update_id,
+                    from_cores=abandoned_cores,
+                    to_cores=int(round(prev.limit_cores)),
+                    stuck_minutes=stuck,
+                )
             )
 
     # -- supervision support -------------------------------------------------------

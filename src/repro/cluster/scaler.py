@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..obs.events import ResizeDeferredEvent
 from ..obs.observer import Observer
 from .events import EventKind, EventLog
 from .operator_ import DbOperator
@@ -181,9 +182,11 @@ class Scaler:
             label = reason.split(" (")[0].split(" for ")[0]
             # The rejected decision was consulted this same minute, so
             # it is the deferral's causal parent.
-            self.observer.resize_deferred(
-                minute=minute,
-                reason=label,
-                target_cores=target_cores,
-                decided_minute=minute,
+            self.observer.emit(
+                ResizeDeferredEvent(
+                    minute=minute,
+                    reason=label,
+                    target_cores=target_cores,
+                    decided_minute=minute,
+                )
             )

@@ -39,6 +39,7 @@ import numpy as np
 from ..core.config import CaasperConfig
 from ..core.recommender import CaasperRecommender
 from ..errors import SimulationError
+from ..obs.events import EngineBatchEvent
 from ..sim.metrics import SimulationMetrics
 from ..sim.results import ScalingEvent, SimulationResult
 from ..sim.simulator import simulate_trace
@@ -259,13 +260,16 @@ class BatchEngine:
                 )
 
         if self.observer is not None:
-            self.observer.engine_batch(
-                lanes=len(jobs),
-                vector_lanes=len(vector),
-                scalar_lanes=len(scalar),
-                cache_hits=cache_hits,
-                cohorts=len({_cohort_key(jobs[i].config) for i in vector}),
-                elapsed_seconds=time.perf_counter() - start,
+            self.observer.emit(
+                EngineBatchEvent(
+                    minute=0,
+                    lanes=len(jobs),
+                    vector_lanes=len(vector),
+                    scalar_lanes=len(scalar),
+                    cache_hits=cache_hits,
+                    cohorts=len({_cohort_key(jobs[i].config) for i in vector}),
+                    elapsed_seconds=time.perf_counter() - start,
+                )
             )
         return [r for r in results if r is not None]
 

@@ -35,6 +35,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..cluster.events import EventKind, EventLog
 from ..errors import FaultError, ForecastError
+from ..obs.events import FaultInjectedEvent
 from .plan import (
     ActuationFault,
     ComponentFault,
@@ -100,11 +101,13 @@ class FaultInjector:
     def _fire(self, fault: str, target: str = "", detail: str = "") -> None:
         self.counts[fault] = self.counts.get(fault, 0) + 1
         if self.observer is not None:
-            self.observer.fault_injected(
-                minute=max(self._minute, 0),
-                fault=fault,
-                target=target,
-                detail=detail,
+            self.observer.emit(
+                FaultInjectedEvent(
+                    minute=max(self._minute, 0),
+                    fault=fault,
+                    target=target,
+                    detail=detail,
+                )
             )
 
     def _active(self, spec_type: type, minute: int, **match: object) -> object:

@@ -92,7 +92,8 @@ def replay(telemetry: WorkerTelemetry, parent: Observer) -> int:
     their worker-side names.
     """
     for payload in telemetry.events:
-        parent.emit(event_from_dict(dict(payload)))
+        # Already stamped and counted worker-side: fan out only.
+        parent.bus.emit(event_from_dict(dict(payload)))
     if telemetry.metrics is not None:
         parent.metrics.merge(telemetry.metrics)
     for name, count, total, self_s, min_s, max_s in telemetry.spans:

@@ -30,6 +30,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..errors import FleetError
+from ..obs.events import (
+    FleetJobFailedEvent,
+    FleetJobFinishedEvent,
+    FleetJobStartedEvent,
+)
 from ..obs.observer import Observer
 from ..obs.tracing import fleet_trace_name
 from .jobs import FleetJob, FleetPlan, JobFailure, JobRecord
@@ -698,14 +703,20 @@ class FleetRunner:
         index = plan.job_ids().index(job_id)
         if status == "ok":
             if self.observer is not None:
-                self.observer.fleet_job_finished(index, job_id, elapsed)
+                self.observer.emit(
+                    FleetJobFinishedEvent(
+                        minute=index, job_id=job_id, elapsed_seconds=elapsed
+                    )
+                )
         else:
             if self.observer is not None:
-                self.observer.fleet_job_failed(
-                    index,
-                    job_id,
-                    failure.message if failure else "",
-                    failure.failure_kind if failure else "exception",
+                self.observer.emit(
+                    FleetJobFailedEvent(
+                        minute=index,
+                        job_id=job_id,
+                        error=failure.message if failure else "",
+                        failure_kind=failure.failure_kind if failure else "exception",
+                    )
                 )
         if journal is not None:
             journal.record(record)
@@ -714,4 +725,8 @@ class FleetRunner:
     def _emit_started(self, plan: FleetPlan, job: FleetJob) -> None:
         if self.observer is not None:
             index = plan.job_ids().index(job.job_id)
-            self.observer.fleet_job_started(index, job.job_id, self.workers)
+            self.observer.emit(
+                FleetJobStartedEvent(
+                    minute=index, job_id=job.job_id, workers=self.workers
+                )
+            )

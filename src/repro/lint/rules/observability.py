@@ -4,19 +4,17 @@ OBS001: every emitted event type is declared in ``repro.obs.events``.
 The observability layer round-trips events through JSONL
 (:func:`repro.obs.trace_log.read_events` →
 :func:`repro.obs.events.event_from_dict`), which resolves the ``kind``
-discriminator against the registry in :mod:`repro.obs.events`. An event
-class defined elsewhere — or defined there but left out of ``__all__``
-and the registry — serialises fine and then *fails to deserialise*,
-breaking replay tooling long after the run that wrote the trace.
+discriminator against the registry each ``ObsEvent`` subclass joins
+when it is defined. An event class defined in a module that a reader
+never imports serialises fine and then *fails to deserialise*, breaking
+replay tooling long after the run that wrote the trace.
 
 The rule checks, project-wide:
 
 - every ``<obj>.emit(SomethingEvent(...))`` call site constructs a
   class that is declared in ``repro.obs.events``;
 - every ``ObsEvent`` subclass is defined in ``repro.obs.events`` (not
-  scattered through other modules);
-- every ``ObsEvent`` subclass in ``repro.obs.events`` is exported via
-  ``__all__`` (the registry lists what ``__all__`` advertises).
+  scattered through other modules).
 
 OBS002: every span/trace name is declared in ``repro.obs.names``. Span
 statistics aggregate by name and trace analyses key on trace names; an
@@ -91,27 +89,10 @@ class DeclaredEventsRule(Rule):
             for module in project.modules.values()
             if module.module == EVENTS_MODULE
         ]
-        declared: set[str] = set()
-        exported: set[str] = set()
-        for module in events_modules:
-            exported.update(module.dunder_all)
-            declared.add("ObsEvent")
+        declared = {"ObsEvent"}
         for info in project.subclasses_of("ObsEvent"):
             if info.module == EVENTS_MODULE:
                 declared.add(info.name)
-                if events_modules and info.name not in exported:
-                    yield Finding(
-                        code=self.code,
-                        message=(
-                            f"event class {info.name} is declared in "
-                            f"{EVENTS_MODULE} but missing from __all__; "
-                            "add it so the registry and docs advertise it"
-                        ),
-                        path=info.path,
-                        line=info.lineno,
-                        column=0,
-                        severity=self.severity,
-                    )
             else:
                 yield Finding(
                     code=self.code,
@@ -135,8 +116,8 @@ class DeclaredEventsRule(Rule):
                     code=self.code,
                     message=(
                         f"emit() of undeclared event type {name}; declare "
-                        f"it in {EVENTS_MODULE} (and its __all__/registry) "
-                        "so JSONL traces can be replayed"
+                        f"it in {EVENTS_MODULE} so JSONL traces can be "
+                        "replayed"
                     ),
                     path=path,
                     line=node.lineno,

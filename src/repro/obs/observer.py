@@ -7,102 +7,65 @@ passing ``None`` (the default) costs nothing — instrumented call sites
 guard every emission with an ``observer is not None`` check, so the
 default path constructs no events and reads no clocks.
 
-The helper methods (:meth:`decision`, :meth:`resize`, ...) both emit the
-typed event to every sink *and* maintain the standard metric families,
-so a single call at the instrumentation point keeps the two pillars
-consistent:
+Call sites build a typed event and hand it to :meth:`Observer.emit`,
+which applies what the event class declares, in one generic path:
 
-==============================  ======================================
-metric                          meaning
-==============================  ======================================
-``decisions_total{branch=}``    consultations per Algorithm 1 branch
-``resizes_total``               enacted resizes (metric ``N``)
-``resizes_deferred_total{reason=}``  deferred/rejected resizes
-``throttled_minutes_total``     minutes with demand above limits
-``slack_core_minutes_total``    running ``K`` numerator
-``insufficient_core_minutes_total``  running ``C`` numerator
-``resize_latency_minutes``      decide→enact latency histogram
-``recommender_seconds{recommender=}``  per-consultation wall clock
-``sim_step_seconds``            per-simulated-minute wall clock
-``faults_injected_total{kind=}``  injected faults by kind (chaos runs)
-``safe_mode_minutes``           minutes spent in telemetry safe-mode
-``retries_total{outcome=}``     actuation retries by outcome
-``rollbacks_total``             watchdog rollbacks of stuck updates
-``quarantines_total{component=}``  component exceptions degraded
-``fleet_jobs_total{status=}``   fleet jobs by terminal status
-``fleet_job_seconds``           per-job wall clock across workers
-``store_hits_total{kind=}``     result-store hits by key namespace
-``store_misses_total{kind=}``   result-store misses by key namespace
-``store_evictions_total``       blobs removed by size-budgeted GC
-``store_bytes``                 on-disk size of the result store
-``serve_tenants_total{source=}``  tenants registered (api vs recovery)
-``serve_shed_samples_total``    telemetry samples dropped by shedding
-``serve_rejections_total{reason=}``  ingests refused (429/503 path)
-``serve_breaker_transitions_total{to_state=}``  breaker state changes
-``serve_restarts_total{action=}``  supervisor restarts by phase
-``serve_quarantines_total{action=}``  tenant quarantine enters/exits
-``serve_drains_total{action=}``  graceful drains begun/completed
-``serve_recovered_tenants``     tenants rebuilt by last state recovery
-``capacity_placements_total{outcome=}``  pods bound (placed vs migrated)
-``capacity_pending_pod_minutes_total``  pod-minutes spent unschedulable
-``capacity_node_pool_total{action=}``  node-pool shape changes
-``capacity_nodes``              ready nodes in the pool (gauge)
-``capacity_drains_total{action=}``  node cordon/drain lifecycle steps
-``capacity_contention_core_minutes_total``  CPU water-filled away
-==============================  ======================================
+1. with a trace open, it stamps the trace id, the span id (derived from
+   the kind, minute and the class's ``discriminator``) and the parent
+   span id (the class's ``caused_by`` rule);
+2. it fans the stamped event out to every sink;
+3. it updates the metric families the class lists in ``metrics``.
+
+Adding an event therefore touches one file: declare a frozen
+:class:`~repro.obs.events.ObsEvent` subclass in :mod:`repro.obs.events`
+with its fields, ``discriminator``, ``caused_by`` and ``metrics``, then
+call ``observer.emit(NewEvent(...))`` where it happens.
+
+A few families have no event of their own: :meth:`Observer.sample`
+keeps the per-minute slack total (and emits a throttled-minute event
+only when demand exceeded the limit), and :meth:`Observer.store_bytes`
+and :meth:`Observer.step_seconds` set a gauge and time a minute.
+:data:`METRICS_ONLY` declares those families.
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager, contextmanager
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import Any, Iterator, TypeVar
 
 from .events import (
-    AdmissionRejectedEvent,
-    BreakerTransitionEvent,
-    CacheEvictedEvent,
-    CacheHitEvent,
-    CacheMissEvent,
     DecisionEvent,
-    DrainEvent,
-    EngineBatchEvent,
     EventBus,
-    FaultInjectedEvent,
-    NodeContentionEvent,
-    NodeDrainEvent,
-    NodePoolEvent,
-    PodPendingEvent,
-    PodScheduledEvent,
-    FleetJobFailedEvent,
-    FleetJobFinishedEvent,
-    FleetJobStartedEvent,
+    MetricEffect,
     ObsEvent,
-    QuarantineEvent,
-    ResizeDeferredEvent,
-    ResizeEvent,
     RetryEvent,
     RingBufferSink,
-    RollbackEvent,
-    SafeModeEvent,
-    StateRecoveredEvent,
-    TelemetryShedEvent,
-    TenantQuarantineEvent,
-    TenantRegisteredEvent,
-    TenantRestartEvent,
     ThrottledMinuteEvent,
+    TraceStartedEvent,
 )
-from .events import TraceStartedEvent
 from .metrics import MetricsRegistry
-from .spans import SpanCollector, SpanStats, activate
+from .spans import SpanCollector, activate
 from .tracing import Tracer
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.reactive import ReactiveDecision
+__all__ = ["METRICS_ONLY", "Observer"]
 
-__all__ = ["Observer"]
+E = TypeVar("E", bound=ObsEvent)
 
-#: Resize-latency histogram buckets, in minutes (paper: 5–15 min window).
-_LATENCY_BUCKETS = (0.0, 1.0, 2.0, 5.0, 10.0, 15.0, 30.0, 60.0)
+_SLACK = MetricEffect(
+    "slack_core_minutes_total",
+    "Running total of slack core-minutes (metric K numerator)",
+)
+_STORE_BYTES = MetricEffect(
+    "store_bytes", "On-disk size of the result store in bytes", kind="gauge"
+)
+_STEP_SECONDS = MetricEffect(
+    "sim_step_seconds",
+    "Wall-clock seconds per simulated minute",
+    kind="histogram",
+)
+
+#: Standard families updated without an event of their own.
+METRICS_ONLY = (_SLACK, _STORE_BYTES, _STEP_SECONDS)
 
 
 class Observer:
@@ -137,8 +100,8 @@ class Observer:
             self.bus.subscribe(sink)
         self.metrics = metrics or MetricsRegistry()
         self.spans = spans or SpanCollector()
-        #: Active causal tracer; when set, every helper stamps the
-        #: events it builds with deterministic trace/span/parent ids.
+        #: Active causal tracer; when set, :meth:`emit` stamps every
+        #: event with deterministic trace/span/parent ids.
         self.tracer: Tracer | None = None
 
     # -- causal tracing --------------------------------------------------------
@@ -178,785 +141,87 @@ class Observer:
         finally:
             self.tracer = previous
 
-    def _trace_fields(
-        self,
-        kind: str,
-        minute: int,
-        parent_span_id: str | None = None,
-        discriminator: str = "",
-    ) -> dict[str, str]:
-        """Stamp kwargs for one event, or ``{}`` when no trace is open."""
-        tracer = self.tracer
-        if tracer is None:
-            return {}
-        return {
-            "trace_id": tracer.trace_id,
-            "span_id": tracer.span_id(kind, minute, discriminator),
-            "parent_span_id": (
-                parent_span_id
-                if parent_span_id is not None
-                else tracer.root_span_id
-            ),
-        }
+    @staticmethod
+    def _parent_span(event: ObsEvent, tracer: Tracer) -> str:
+        """The span ``event`` descends from, per its ``caused_by`` rule.
 
-    def _enactment_parent(self, decided_minute: int) -> str | None:
-        """Parent span for an act caused by the decision at ``decided_minute``.
-
-        When the enactment attempt at that minute was a successful
-        retry, the retry span is the causal parent (and itself links to
-        the original decision); otherwise the decision span is.
+        An enactment whose attempt at ``decided_minute`` was a
+        successful retry descends from the retry span (which itself
+        links to the original decision); otherwise from the decision.
         """
-        tracer = self.tracer
-        if tracer is None:
-            return None
-        if decided_minute in tracer.retry_success_minutes:
-            return tracer.span_id("retry", decided_minute, "succeeded")
-        return tracer.span_id("decision", decided_minute)
+        decided = getattr(event, "decided_minute", None)
+        if not event.caused_by or decided is None:
+            return tracer.root_span_id
+        if (
+            event.caused_by == "enactment"
+            and decided in tracer.retry_success_minutes
+        ):
+            return tracer.span_id("retry", decided, "succeeded")
+        return tracer.span_id("decision", decided)
 
     # -- event emission --------------------------------------------------------
 
-    def emit(self, event: ObsEvent) -> None:
-        """Fan one pre-built event out to every sink."""
+    def emit(self, event: E) -> E:
+        """Stamp, fan out and count one event; returns the stamped event."""
+        tracer = self.tracer
+        if tracer is not None:
+            fields = vars(event)
+            # ``dataclasses.replace(event, trace_id=..., ...)`` without
+            # re-running ``__init__``: events are plain frozen dataclasses,
+            # and the cheaper copy keeps stamping inside the 5% tracing
+            # budget of benchmarks/bench_trace_overhead.py.
+            stamped = object.__new__(type(event))
+            stamped.__dict__.update(
+                fields,
+                trace_id=tracer.trace_id,
+                span_id=tracer.span_id(
+                    event.kind, event.minute, event.discriminator.format_map(fields)
+                ),
+                parent_span_id=self._parent_span(event, tracer),
+            )
+            event = stamped
+            if isinstance(event, RetryEvent) and event.outcome == "succeeded":
+                tracer.retry_success_minutes.add(event.minute)
         self.bus.emit(event)
+        self.update_metrics(event)
+        return event
 
-    def decision(
-        self,
-        minute: int,
-        recommender: str,
-        current_cores: int,
-        raw_target_cores: int,
-        target_cores: int,
-        derivation: "ReactiveDecision | None" = None,
-        window_stats: dict[str, float] | None = None,
-        elapsed_seconds: float | None = None,
-    ) -> DecisionEvent:
-        """Record one recommender consultation.
+    def update_metrics(self, event: ObsEvent) -> None:
+        """Apply ``event``'s declared metric effects without emitting it.
 
-        ``derivation`` is the recommender's
-        :class:`~repro.core.reactive.ReactiveDecision` provenance when it
-        exposes one (the ``last_decision`` protocol of
-        :class:`~repro.baselines.base.Recommender`); opaque recommenders
-        pass ``None`` and get a ``branch="opaque"`` event.
+        :meth:`emit` calls this; call it directly only for a state the
+        trail does not record as an event of its own (another
+        safe-mode minute while already in safe mode).
         """
-        if derivation is not None:
-            branch = derivation.branch
-            reason = derivation.reason
-            slope: float | None = derivation.slope
-            skew: float | None = derivation.skew
-            scaling_factor: float | None = derivation.raw_scaling_factor
-            usage_quantile: float | None = derivation.usage_quantile
+        for effect in event.metrics:
+            amount = getattr(event, effect.value) if effect.value else 1
+            if amount is None:
+                continue
+            labels: dict[str, str] = {}
+            if effect.label:
+                source = effect.label_from or effect.label
+                labels[effect.label] = getattr(event, source)
+            self._update(effect, amount, labels)
+
+    def _update(
+        self, effect: MetricEffect, amount: float, labels: dict[str, str]
+    ) -> None:
+        labelnames = (effect.label,) if effect.label else ()
+        if effect.kind == "counter":
+            self.metrics.counter(effect.family, effect.help, labelnames).inc(
+                float(amount), **labels
+            )
+        elif effect.kind == "gauge":
+            self.metrics.gauge(effect.family, effect.help, labelnames).set(
+                float(amount), **labels
+            )
         else:
-            branch = "opaque"
-            reason = f"{recommender} recommended {raw_target_cores} cores"
-            slope = skew = scaling_factor = usage_quantile = None
-        event = DecisionEvent(
-            minute=minute,
-            **self._trace_fields("decision", minute),
-            recommender=recommender,
-            current_cores=current_cores,
-            raw_target_cores=raw_target_cores,
-            target_cores=target_cores,
-            branch=branch,
-            reason=reason,
-            slope=slope,
-            skew=skew,
-            scaling_factor=scaling_factor,
-            usage_quantile=usage_quantile,
-            clamped=target_cores != raw_target_cores,
-            window_stats=window_stats,
-            elapsed_seconds=elapsed_seconds,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "decisions_total",
-            "Recommender consultations by Algorithm 1 branch",
-            labelnames=("branch",),
-        ).inc(branch=branch)
-        if elapsed_seconds is not None:
+            buckets = {"buckets": effect.buckets} if effect.buckets else {}
             self.metrics.histogram(
-                "recommender_seconds",
-                "Wall-clock seconds per recommender consultation",
-                labelnames=("recommender",),
-            ).observe(elapsed_seconds, recommender=recommender)
-        return event
+                effect.family, effect.help, labelnames, **buckets
+            ).observe(float(amount), **labels)
 
-    def resize(
-        self,
-        minute: int,
-        decided_minute: int,
-        from_cores: int,
-        to_cores: int,
-    ) -> ResizeEvent:
-        """Record one enacted resize (metric ``N`` contribution)."""
-        event = ResizeEvent(
-            minute=minute,
-            **self._trace_fields(
-                "resize", minute, self._enactment_parent(decided_minute)
-            ),
-            decided_minute=decided_minute,
-            from_cores=from_cores,
-            to_cores=to_cores,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "resizes_total", "Enacted resizes (metric N)"
-        ).inc()
-        self.metrics.histogram(
-            "resize_latency_minutes",
-            "Minutes between a resize decision and its enactment",
-            buckets=_LATENCY_BUCKETS,
-        ).observe(float(event.latency_minutes))
-        return event
-
-    def resize_deferred(
-        self,
-        minute: int,
-        reason: str,
-        target_cores: int | None = None,
-        decided_minute: int | None = None,
-    ) -> ResizeDeferredEvent:
-        """Record a resize that could not be enacted this minute.
-
-        ``decided_minute`` is the minute of the decision this deferral
-        answers to (the rejected decision itself, or the in-flight one
-        blocking it); when known, the deferral joins that decision's
-        causal chain instead of hanging off the run root.
-        """
-        parent = (
-            self._enactment_parent(decided_minute)
-            if decided_minute is not None
-            else None
-        )
-        event = ResizeDeferredEvent(
-            minute=minute,
-            **self._trace_fields("resize_deferred", minute, parent, reason),
-            reason=reason,
-            target_cores=target_cores,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "resizes_deferred_total",
-            "Resizes deferred or rejected by safety checks",
-            labelnames=("reason",),
-        ).inc(reason=reason)
-        return event
-
-    def fault_injected(
-        self, minute: int, fault: str, target: str = "", detail: str = ""
-    ) -> FaultInjectedEvent:
-        """Record one injected fault firing (chaos runs)."""
-        event = FaultInjectedEvent(
-            minute=minute,
-            **self._trace_fields(
-                "fault_injected", minute, None, f"{fault}:{target}"
-            ),
-            fault=fault,
-            target=target,
-            detail=detail,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "faults_injected_total",
-            "Injected faults by kind",
-            labelnames=("kind",),
-        ).inc(kind=fault)
-        return event
-
-    def safe_mode(
-        self, minute: int, reason: str, action: str, minutes_in_safe_mode: int = 0
-    ) -> SafeModeEvent | None:
-        """Record telemetry safe-mode state.
-
-        ``action`` is ``"enter"``, ``"hold"`` (another corrupt-sample
-        minute while already in safe-mode) or ``"exit"``. Enter/exit
-        emit a :class:`~repro.obs.events.SafeModeEvent`; enter and hold
-        both advance the ``safe_mode_minutes`` counter so the metric is
-        the total corrupted-telemetry dwell time.
-        """
-        if action in ("enter", "hold"):
-            self.metrics.counter(
-                "safe_mode_minutes",
-                "Minutes spent in telemetry safe-mode",
-            ).inc()
-        if action == "hold":
-            return None
-        event = SafeModeEvent(
-            minute=minute,
-            **self._trace_fields("safe_mode", minute, None, action),
-            action=action,
-            reason=reason,
-            minutes_in_safe_mode=minutes_in_safe_mode,
-        )
-        self.bus.emit(event)
-        return event
-
-    def retry(
-        self,
-        minute: int,
-        target_cores: int,
-        attempt: int,
-        outcome: str,
-        delay_minutes: float = 0.0,
-        decided_minute: int = 0,
-    ) -> RetryEvent:
-        """Record one actuation-retry state change."""
-        if self.tracer is not None and outcome == "succeeded":
-            self.tracer.retry_success_minutes.add(minute)
-        parent = (
-            self.tracer.span_id("decision", decided_minute)
-            if self.tracer is not None
-            else None
-        )
-        event = RetryEvent(
-            minute=minute,
-            **self._trace_fields("retry", minute, parent, outcome),
-            target_cores=target_cores,
-            attempt=attempt,
-            outcome=outcome,
-            delay_minutes=delay_minutes,
-            decided_minute=decided_minute,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "retries_total",
-            "Actuation retries by outcome",
-            labelnames=("outcome",),
-        ).inc(outcome=outcome)
-        return event
-
-    def rollback(
-        self,
-        minute: int,
-        update_id: int,
-        from_cores: int,
-        to_cores: int,
-        stuck_minutes: int,
-    ) -> RollbackEvent:
-        """Record one watchdog rollback of a stuck rolling update."""
-        event = RollbackEvent(
-            minute=minute,
-            **self._trace_fields(
-                "rollback",
-                minute,
-                self._enactment_parent(minute - stuck_minutes),
-            ),
-            update_id=update_id,
-            from_cores=from_cores,
-            to_cores=to_cores,
-            stuck_minutes=stuck_minutes,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "rollbacks_total", "Watchdog rollbacks of stuck rolling updates"
-        ).inc()
-        return event
-
-    def quarantine(
-        self, minute: int, component: str, error: str, degraded_to: str = "hold"
-    ) -> QuarantineEvent:
-        """Record a component exception degraded instead of crashing."""
-        event = QuarantineEvent(
-            minute=minute,
-            **self._trace_fields("quarantine", minute, None, component),
-            component=component,
-            error=error,
-            degraded_to=degraded_to,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "quarantines_total",
-            "Component exceptions degraded by the control plane",
-            labelnames=("component",),
-        ).inc(component=component)
-        return event
-
-    def fleet_job_started(
-        self, index: int, job_id: str, workers: int = 1
-    ) -> FleetJobStartedEvent:
-        """Record one fleet job dispatched (``index`` is its plan index)."""
-        event = FleetJobStartedEvent(
-            minute=index,
-            **self._trace_fields("fleet_job_started", index, None, job_id),
-            job_id=job_id,
-            workers=workers,
-        )
-        self.bus.emit(event)
-        return event
-
-    def fleet_job_finished(
-        self,
-        index: int,
-        job_id: str,
-        elapsed_seconds: float,
-        journaled: bool = False,
-    ) -> FleetJobFinishedEvent:
-        """Record one fleet job completing (or restored from a journal)."""
-        event = FleetJobFinishedEvent(
-            minute=index,
-            **self._trace_fields("fleet_job_finished", index, None, job_id),
-            job_id=job_id,
-            elapsed_seconds=elapsed_seconds,
-            journaled=journaled,
-        )
-        self.bus.emit(event)
-        status = "journaled" if journaled else "ok"
-        self.metrics.counter(
-            "fleet_jobs_total",
-            "Fleet jobs by terminal status",
-            labelnames=("status",),
-        ).inc(status=status)
-        if not journaled:
-            self.metrics.histogram(
-                "fleet_job_seconds",
-                "Wall-clock seconds per fleet job (worker-side)",
-            ).observe(elapsed_seconds)
-        return event
-
-    def fleet_job_failed(
-        self,
-        index: int,
-        job_id: str,
-        error: str,
-        failure_kind: str = "exception",
-    ) -> FleetJobFailedEvent:
-        """Record one fleet job captured as a typed failure."""
-        event = FleetJobFailedEvent(
-            minute=index,
-            **self._trace_fields("fleet_job_failed", index, None, job_id),
-            job_id=job_id,
-            error=error,
-            failure_kind=failure_kind,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "fleet_jobs_total",
-            "Fleet jobs by terminal status",
-            labelnames=("status",),
-        ).inc(status="failed")
-        return event
-
-    def cache_hit(
-        self,
-        key: str,
-        result_kind: str,
-        source: str = "disk",
-        producer_trace_id: str = "",
-        producer_epoch: int = 0,
-    ) -> CacheHitEvent:
-        """Record one result-store hit (``source`` is ``memory``/``disk``).
-
-        ``producer_trace_id``/``producer_epoch`` carry the blob's
-        provenance stamp when the store has one: which run computed the
-        cached bytes, under which :data:`~repro.store.keys.STORE_EPOCH`.
-        """
-        event = CacheHitEvent(
-            minute=0,
-            **self._trace_fields("cache_hit", 0, None, key),
-            key=key,
-            result_kind=result_kind,
-            source=source,
-            producer_trace_id=producer_trace_id,
-            producer_epoch=producer_epoch,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "store_hits_total",
-            "Result-store hits by key namespace",
-            labelnames=("kind",),
-        ).inc(kind=result_kind)
-        return event
-
-    def cache_miss(
-        self, key: str, result_kind: str, reason: str = "absent"
-    ) -> CacheMissEvent:
-        """Record one result-store miss (``reason``: absent/corrupt/epoch)."""
-        event = CacheMissEvent(
-            minute=0,
-            **self._trace_fields("cache_miss", 0, None, key),
-            key=key,
-            result_kind=result_kind,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "store_misses_total",
-            "Result-store misses by key namespace",
-            labelnames=("kind",),
-        ).inc(kind=result_kind)
-        return event
-
-    def cache_evicted(
-        self, key: str, result_kind: str, nbytes: int, reason: str = "gc"
-    ) -> CacheEvictedEvent:
-        """Record one blob removed by the store's size-budgeted GC."""
-        event = CacheEvictedEvent(
-            minute=0,
-            **self._trace_fields("cache_evicted", 0, None, key),
-            key=key,
-            result_kind=result_kind,
-            bytes=nbytes,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "store_evictions_total",
-            "Result-store blobs removed by size-budgeted GC",
-        ).inc()
-        return event
-
-    # -- serve control-plane lifecycle -----------------------------------------
-
-    def tenant_registered(
-        self, tick: int, tenant: str, seed: int = 0, source: str = "api"
-    ) -> TenantRegisteredEvent:
-        """Record a tenant admitted to the serve plane."""
-        event = TenantRegisteredEvent(
-            minute=tick,
-            **self._trace_fields("tenant_registered", tick, None, tenant),
-            tenant=tenant,
-            seed=seed,
-            source=source,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_tenants_total",
-            "Tenants registered with the serve plane",
-            labelnames=("source",),
-        ).inc(source=source)
-        return event
-
-    def telemetry_shed(
-        self, tick: int, tenant: str, dropped: int, queue_capacity: int
-    ) -> TelemetryShedEvent:
-        """Record oldest-drop load shedding on one tenant queue."""
-        event = TelemetryShedEvent(
-            minute=tick,
-            **self._trace_fields("telemetry_shed", tick, None, tenant),
-            tenant=tenant,
-            dropped=dropped,
-            queue_capacity=queue_capacity,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_shed_samples_total",
-            "Telemetry samples dropped by queue load shedding",
-        ).inc(dropped)
-        return event
-
-    def admission_rejected(
-        self, tick: int, tenant: str, reason: str
-    ) -> AdmissionRejectedEvent:
-        """Record an ingest refused outright (the 429/503 path)."""
-        event = AdmissionRejectedEvent(
-            minute=tick,
-            **self._trace_fields(
-                "admission_rejected", tick, None, f"{tenant}:{reason}"
-            ),
-            tenant=tenant,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_rejections_total",
-            "Ingests refused by admission control",
-            labelnames=("reason",),
-        ).inc(reason=reason)
-        return event
-
-    def breaker_transition(
-        self,
-        tick: int,
-        tenant: str,
-        from_state: str,
-        to_state: str,
-        failures: int = 0,
-    ) -> BreakerTransitionEvent:
-        """Record a per-tenant circuit-breaker state change."""
-        event = BreakerTransitionEvent(
-            minute=tick,
-            **self._trace_fields(
-                "breaker_transition", tick, None, f"{tenant}:{to_state}"
-            ),
-            tenant=tenant,
-            from_state=from_state,
-            to_state=to_state,
-            failures=failures,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_breaker_transitions_total",
-            "Circuit-breaker transitions by target state",
-            labelnames=("to_state",),
-        ).inc(to_state=to_state)
-        return event
-
-    def tenant_restart(
-        self,
-        tick: int,
-        tenant: str,
-        attempt: int,
-        action: str,
-        backoff_ticks: int = 0,
-        error: str = "",
-    ) -> TenantRestartEvent:
-        """Record a supervisor restart (``action``: scheduled/completed)."""
-        event = TenantRestartEvent(
-            minute=tick,
-            **self._trace_fields(
-                "tenant_restart", tick, None, f"{tenant}:{action}:{attempt}"
-            ),
-            tenant=tenant,
-            attempt=attempt,
-            backoff_ticks=backoff_ticks,
-            action=action,
-            error=error,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_restarts_total",
-            "Supervisor tenant restarts by phase",
-            labelnames=("action",),
-        ).inc(action=action)
-        return event
-
-    def tenant_quarantine(
-        self, tick: int, tenant: str, action: str, restarts: int = 0
-    ) -> TenantQuarantineEvent:
-        """Record a flapping tenant entering/leaving quarantine."""
-        event = TenantQuarantineEvent(
-            minute=tick,
-            **self._trace_fields(
-                "tenant_quarantine", tick, None, f"{tenant}:{action}"
-            ),
-            tenant=tenant,
-            action=action,
-            restarts=restarts,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_quarantines_total",
-            "Tenant quarantine transitions",
-            labelnames=("action",),
-        ).inc(action=action)
-        return event
-
-    def drain(
-        self, tick: int, action: str, reason: str = "", pending: int = 0
-    ) -> DrainEvent:
-        """Record graceful-drain lifecycle (``action``: begin/complete)."""
-        event = DrainEvent(
-            minute=tick,
-            **self._trace_fields("drain", tick, None, action),
-            action=action,
-            reason=reason,
-            pending=pending,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "serve_drains_total",
-            "Graceful drains by phase",
-            labelnames=("action",),
-        ).inc(action=action)
-        return event
-
-    def state_recovered(
-        self,
-        tick: int,
-        recovered_tenants: int,
-        records: int,
-        snapshot_tick: int = 0,
-    ) -> StateRecoveredEvent:
-        """Record crash-safe state replayed on startup."""
-        event = StateRecoveredEvent(
-            minute=tick,
-            **self._trace_fields("state_recovered", tick),
-            recovered_tenants=recovered_tenants,
-            records=records,
-            snapshot_tick=snapshot_tick,
-        )
-        self.bus.emit(event)
-        self.metrics.gauge(
-            "serve_recovered_tenants",
-            "Tenants rebuilt by the most recent state recovery",
-        ).set(float(recovered_tenants))
-        return event
-
-    # -- cluster-capacity layer --------------------------------------------------
-
-    def pod_scheduled(
-        self,
-        minute: int,
-        pod: str,
-        node: str,
-        outcome: str = "placed",
-        requested_millicores: int = 0,
-        reason: str = "",
-    ) -> PodScheduledEvent:
-        """Record a pod bound to a node (placement or migration)."""
-        event = PodScheduledEvent(
-            minute=minute,
-            **self._trace_fields(
-                "pod_scheduled", minute, None, f"{pod}:{outcome}"
-            ),
-            pod=pod,
-            node=node,
-            outcome=outcome,
-            requested_millicores=requested_millicores,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "capacity_placements_total",
-            "Pods bound by the capacity placement engine",
-            labelnames=("outcome",),
-        ).inc(outcome=outcome)
-        return event
-
-    def pod_pending(
-        self,
-        minute: int,
-        pod: str,
-        requested_millicores: int = 0,
-        reason: str = "no-fit",
-    ) -> PodPendingEvent:
-        """Record one pod-minute of unschedulable pending pressure."""
-        event = PodPendingEvent(
-            minute=minute,
-            **self._trace_fields("pod_pending", minute, None, pod),
-            pod=pod,
-            requested_millicores=requested_millicores,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "capacity_pending_pod_minutes_total",
-            "Pod-minutes spent waiting for capacity",
-        ).inc()
-        return event
-
-    def node_pool(
-        self,
-        minute: int,
-        action: str,
-        node: str,
-        node_count: int = 0,
-        reason: str = "",
-    ) -> NodePoolEvent:
-        """Record a node-pool shape change; keeps the node-count gauge."""
-        event = NodePoolEvent(
-            minute=minute,
-            **self._trace_fields("node_pool", minute, None, f"{node}:{action}"),
-            action=action,
-            node=node,
-            node_count=node_count,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "capacity_node_pool_total",
-            "Node-pool shape changes by action",
-            labelnames=("action",),
-        ).inc(action=action)
-        self.metrics.gauge(
-            "capacity_nodes", "Ready nodes in the capacity pool"
-        ).set(float(node_count))
-        return event
-
-    def node_drain(
-        self,
-        minute: int,
-        node: str,
-        action: str,
-        remaining_pods: int = 0,
-        reason: str = "",
-    ) -> NodeDrainEvent:
-        """Record one cordon/drain lifecycle step on a node."""
-        event = NodeDrainEvent(
-            minute=minute,
-            **self._trace_fields(
-                "node_drain", minute, None, f"{node}:{action}"
-            ),
-            node=node,
-            action=action,
-            remaining_pods=remaining_pods,
-            reason=reason,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "capacity_drains_total",
-            "Node cordon/drain lifecycle steps",
-            labelnames=("action",),
-        ).inc(action=action)
-        return event
-
-    def node_contention(
-        self,
-        minute: int,
-        node: str,
-        demand_cores: float,
-        capacity_cores: float,
-        throttled_cores: float,
-        pods: int = 0,
-    ) -> NodeContentionEvent:
-        """Record one node-minute of water-filled CPU contention."""
-        event = NodeContentionEvent(
-            minute=minute,
-            **self._trace_fields("node_contention", minute, None, node),
-            node=node,
-            demand_cores=demand_cores,
-            capacity_cores=capacity_cores,
-            throttled_cores=throttled_cores,
-            pods=pods,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "capacity_contention_core_minutes_total",
-            "CPU core-minutes water-filled away by node contention",
-        ).inc(throttled_cores)
-        return event
-
-    # -- vectorized batch engine -----------------------------------------------
-
-    def engine_batch(
-        self,
-        lanes: int,
-        vector_lanes: int,
-        scalar_lanes: int,
-        cache_hits: int,
-        cohorts: int,
-        elapsed_seconds: float,
-    ) -> EngineBatchEvent:
-        """Record one completed :class:`~repro.engine.batch.BatchEngine` run."""
-        event = EngineBatchEvent(
-            minute=0,
-            **self._trace_fields("engine_batch", 0, None, str(lanes)),
-            lanes=lanes,
-            vector_lanes=vector_lanes,
-            scalar_lanes=scalar_lanes,
-            cache_hits=cache_hits,
-            cohorts=cohorts,
-            elapsed_seconds=elapsed_seconds,
-        )
-        self.bus.emit(event)
-        self.metrics.counter(
-            "engine_lanes_total",
-            "Traces simulated by the batch engine (any path)",
-        ).inc(float(lanes))
-        self.metrics.counter(
-            "engine_vector_lanes_total",
-            "Traces simulated on the vectorized SoA kernels",
-        ).inc(float(vector_lanes))
-        self.metrics.counter(
-            "engine_scalar_fallback_lanes_total",
-            "Batch lanes that fell back to the scalar oracle",
-        ).inc(float(scalar_lanes))
-        return event
-
-    def store_bytes(self, nbytes: int) -> None:
-        """Record the store's current on-disk size (gauge)."""
-        self.metrics.gauge(
-            "store_bytes", "On-disk size of the result store in bytes"
-        ).set(float(nbytes))
+    # -- families without an event ---------------------------------------------
 
     def sample(
         self, minute: int, demand_cores: float, usage_cores: float, limit_cores: float
@@ -967,36 +232,23 @@ class Observer:
         minutes in which demand exceeded the limit, keeping JSONL traces
         proportional to interesting behaviour rather than trace length.
         """
-        slack = max(limit_cores - usage_cores, 0.0)
-        insufficient = max(demand_cores - limit_cores, 0.0)
-        self.metrics.counter(
-            "slack_core_minutes_total",
-            "Running total of slack core-minutes (metric K numerator)",
-        ).inc(slack)
-        if insufficient > 0.0:
-            self.metrics.counter(
-                "insufficient_core_minutes_total",
-                "Running total of unserved core-minutes (metric C numerator)",
-            ).inc(insufficient)
-            self.metrics.counter(
-                "throttled_minutes_total",
-                "Minutes in which demand exceeded the enacted limit",
-            ).inc()
-            self.bus.emit(
+        self._update(_SLACK, max(limit_cores - usage_cores, 0.0), {})
+        if demand_cores > limit_cores:
+            self.emit(
                 ThrottledMinuteEvent(
                     minute=minute,
-                    **self._trace_fields("throttled", minute),
                     demand_cores=demand_cores,
                     limit_cores=limit_cores,
                 )
             )
 
+    def store_bytes(self, nbytes: int) -> None:
+        """Record the store's current on-disk size (gauge)."""
+        self._update(_STORE_BYTES, nbytes, {})
+
     def step_seconds(self, seconds: float) -> None:
         """Record the wall-clock cost of one simulated minute."""
-        self.metrics.histogram(
-            "sim_step_seconds",
-            "Wall-clock seconds per simulated minute",
-        ).observe(seconds)
+        self._update(_STEP_SECONDS, seconds, {})
 
     # -- spans -----------------------------------------------------------------
 
@@ -1015,10 +267,6 @@ class Observer:
     def span(self, name: str) -> AbstractContextManager[None]:
         """Time one region against this observer's collector."""
         return self.spans.span(name)
-
-    def top_spans(self, n: int = 5) -> list[SpanStats]:
-        """The ``n`` most expensive span names (by total time)."""
-        return self.spans.top(n)
 
     def close(self) -> None:
         """Close every sink that supports it (flushes JSONL traces)."""

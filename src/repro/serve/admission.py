@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import ServeError
+from ..obs.events import AdmissionRejectedEvent, TelemetryShedEvent
 from ..obs.observer import Observer
 from .config import ServeConfig
 
@@ -153,8 +154,13 @@ class AdmissionController:
         if shed:
             observer = self._observer()
             if observer is not None:
-                observer.telemetry_shed(
-                    tick, tenant, dropped=shed, queue_capacity=queue.capacity
+                observer.emit(
+                    TelemetryShedEvent(
+                        minute=tick,
+                        tenant=tenant,
+                        dropped=shed,
+                        queue_capacity=queue.capacity,
+                    )
                 )
         return AdmissionDecision(admitted=True, shed=shed)
 
@@ -167,7 +173,9 @@ class AdmissionController:
         )
         observer = self._observer()
         if observer is not None:
-            observer.admission_rejected(tick, tenant, reason)
+            observer.emit(
+                AdmissionRejectedEvent(minute=tick, tenant=tenant, reason=reason)
+            )
         return AdmissionDecision(admitted=False, reason=reason)
 
     def shed_total(self) -> int:

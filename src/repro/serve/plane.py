@@ -29,6 +29,12 @@ import json
 from typing import Any
 
 from ..errors import ServeError
+from ..obs.events import (
+    BreakerTransitionEvent,
+    DrainEvent,
+    StateRecoveredEvent,
+    TenantRegisteredEvent,
+)
 from ..obs.observer import Observer
 from .admission import AdmissionController, AdmissionDecision
 from .config import ServeConfig, TenantSpec
@@ -120,8 +126,10 @@ class ControlPlane:
         self._register(spec)
         observer = self._obs()
         if observer is not None:
-            observer.tenant_registered(
-                self.tick, spec.tenant, seed=spec.seed, source="api"
+            observer.emit(
+                TenantRegisteredEvent(
+                    minute=self.tick, tenant=spec.tenant, seed=spec.seed, source="api"
+                )
             )
         return {"ok": True, "reason": ""}
 
@@ -141,8 +149,14 @@ class ControlPlane:
         ) -> None:
             observer = self._obs()
             if observer is not None:
-                observer.breaker_transition(
-                    self.tick, tenant, from_state, to_state, failures
+                observer.emit(
+                    BreakerTransitionEvent(
+                        minute=self.tick,
+                        tenant=tenant,
+                        from_state=from_state,
+                        to_state=to_state,
+                        failures=failures,
+                    )
                 )
 
         return on_transition
@@ -276,11 +290,13 @@ class ControlPlane:
             "digest_verified": bool(self.config.verify_recovery),
         }
         if self.observer is not None:
-            self.observer.state_recovered(
-                self.tick,
-                recovered_tenants=len(self.tenants),
-                records=len(records),
-                snapshot_tick=snapshot_tick,
+            self.observer.emit(
+                StateRecoveredEvent(
+                    minute=self.tick,
+                    recovered_tenants=len(self.tenants),
+                    records=len(records),
+                    snapshot_tick=snapshot_tick,
+                )
             )
 
     # -- drain ---------------------------------------------------------------------
@@ -296,11 +312,13 @@ class ControlPlane:
             return {"ok": True, "ticks": 0, "pending": 0}
         observer = self._obs()
         if observer is not None:
-            observer.drain(
-                self.tick,
-                action="begin",
-                reason=reason,
-                pending=self.admission.total_queued(),
+            observer.emit(
+                DrainEvent(
+                    minute=self.tick,
+                    action="begin",
+                    reason=reason,
+                    pending=self.admission.total_queued(),
+                )
             )
         self.draining = True
         self.admission.draining = True
@@ -324,11 +342,13 @@ class ControlPlane:
             self.state.close()
         self.drained = True
         if observer is not None:
-            observer.drain(
-                self.tick,
-                action="complete",
-                reason=reason,
-                pending=self.admission.total_queued(),
+            observer.emit(
+                DrainEvent(
+                    minute=self.tick,
+                    action="complete",
+                    reason=reason,
+                    pending=self.admission.total_queued(),
+                )
             )
         return {
             "ok": True,
@@ -348,11 +368,13 @@ class ControlPlane:
             return
         observer = self._obs()
         if observer is not None:
-            observer.drain(
-                self.tick,
-                action="begin",
-                reason=reason,
-                pending=self.admission.total_queued(),
+            observer.emit(
+                DrainEvent(
+                    minute=self.tick,
+                    action="begin",
+                    reason=reason,
+                    pending=self.admission.total_queued(),
+                )
             )
         self.draining = True
         self.admission.draining = True
@@ -361,11 +383,13 @@ class ControlPlane:
             self.state.close()
         self.drained = True
         if observer is not None:
-            observer.drain(
-                self.tick,
-                action="complete",
-                reason=reason,
-                pending=self.admission.total_queued(),
+            observer.emit(
+                DrainEvent(
+                    minute=self.tick,
+                    action="complete",
+                    reason=reason,
+                    pending=self.admission.total_queued(),
+                )
             )
 
     def abandon(self) -> None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ServeError
+from ..obs.events import TenantQuarantineEvent, TenantRestartEvent
 from ..obs.observer import Observer
 from .config import ServeConfig
 
@@ -95,7 +96,9 @@ class Supervisor:
                 state.recent_crashes.clear()
                 observer = self._observer()
                 if observer is not None:
-                    observer.tenant_quarantine(tick, tenant, action="exit")
+                    observer.emit(
+                        TenantQuarantineEvent(minute=tick, tenant=tenant, action="exit")
+                    )
                 return "resume"
             return "wait"
         if state.status == "backoff":
@@ -103,8 +106,13 @@ class Supervisor:
                 state.status = "running"
                 observer = self._observer()
                 if observer is not None:
-                    observer.tenant_restart(
-                        tick, tenant, attempt=state.attempt, action="completed"
+                    observer.emit(
+                        TenantRestartEvent(
+                            minute=tick,
+                            tenant=tenant,
+                            attempt=state.attempt,
+                            action="completed",
+                        )
                     )
                 return "resume"
             return "wait"
@@ -135,11 +143,13 @@ class Supervisor:
             state.quarantined_tick = tick
             state.quarantines_total += 1
             if observer is not None:
-                observer.tenant_quarantine(
-                    tick,
-                    tenant,
-                    action="enter",
-                    restarts=len(state.recent_crashes),
+                observer.emit(
+                    TenantQuarantineEvent(
+                        minute=tick,
+                        tenant=tenant,
+                        action="enter",
+                        restarts=len(state.recent_crashes),
+                    )
                 )
             return "quarantined"
 
@@ -155,13 +165,15 @@ class Supervisor:
         state.resume_tick = tick + backoff_ticks
         state.status = "backoff"
         if observer is not None:
-            observer.tenant_restart(
-                tick,
-                tenant,
-                attempt=state.attempt,
-                action="scheduled",
-                backoff_ticks=backoff_ticks,
-                error=f"{type(error).__name__}: {error}",
+            observer.emit(
+                TenantRestartEvent(
+                    minute=tick,
+                    tenant=tenant,
+                    attempt=state.attempt,
+                    action="scheduled",
+                    backoff_ticks=backoff_ticks,
+                    error=f"{type(error).__name__}: {error}",
+                )
             )
         return "backoff"
 

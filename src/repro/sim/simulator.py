@@ -31,6 +31,7 @@ import numpy as np
 
 from ..baselines.base import Recommender
 from ..errors import ConfigError, SimulationError
+from ..obs.events import DecisionEvent, ResizeDeferredEvent, ResizeEvent
 from ..obs.observer import Observer
 from ..obs.spans import span
 from ..obs.tracing import simulate_trace_name
@@ -163,11 +164,13 @@ def simulate_trace(
                         )
                     )
                     if observer is not None:
-                        observer.resize(
-                            minute=minute,
-                            decided_minute=pending_decided_minute,
-                            from_cores=limit,
-                            to_cores=pending_target,
+                        observer.emit(
+                            ResizeEvent(
+                                minute=minute,
+                                decided_minute=pending_decided_minute,
+                                from_cores=limit,
+                                to_cores=pending_target,
+                            )
                         )
                     limit = pending_target
                     last_enacted_minute = minute
@@ -200,15 +203,17 @@ def simulate_trace(
                     )
                 clamped = max(config.min_cores, min(config.max_cores, target))
                 if observer is not None:
-                    observer.decision(
-                        minute=minute,
-                        recommender=recommender.name,
-                        current_cores=limit,
-                        raw_target_cores=target,
-                        target_cores=clamped,
-                        derivation=recommender.last_decision,
-                        window_stats=recommender.window_stats(),
-                        elapsed_seconds=time.perf_counter() - consult_start,
+                    observer.emit(
+                        DecisionEvent.from_derivation(
+                            minute=minute,
+                            recommender=recommender.name,
+                            current_cores=limit,
+                            raw_target_cores=target,
+                            target_cores=clamped,
+                            derivation=recommender.last_decision,
+                            window_stats=recommender.window_stats(),
+                            elapsed_seconds=time.perf_counter() - consult_start,
+                        )
                     )
                 target = clamped
                 if target != limit:
@@ -222,15 +227,17 @@ def simulate_trace(
                 # resize is in flight (or whose enactment started the
                 # cooldown window) — pending_decided_minute tracks it
                 # in both cases.
-                observer.resize_deferred(
-                    minute=minute,
-                    reason="resize in flight"
-                    if pending_target is not None
-                    else "cooldown",
-                    target_cores=pending_target,
-                    decided_minute=pending_decided_minute
-                    if pending_decided_minute >= 0
-                    else None,
+                observer.emit(
+                    ResizeDeferredEvent(
+                        minute=minute,
+                        reason="resize in flight"
+                        if pending_target is not None
+                        else "cooldown",
+                        target_cores=pending_target,
+                        decided_minute=pending_decided_minute
+                        if pending_decided_minute >= 0
+                        else None,
+                    )
                 )
 
             if observer is not None:

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..errors import StoreError
 from ..fleet.codec import encode
+from ..obs.events import CacheEvictedEvent, CacheHitEvent, CacheMissEvent
 from .keys import STORE_EPOCH
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,13 +179,19 @@ class ResultStore:
         if read is None:
             self._stats_misses += 1
             if observer is not None:
-                observer.cache_miss(key, kind, reason="absent")
+                observer.emit(
+                    CacheMissEvent(minute=0, key=key, result_kind=kind, reason="absent")
+                )
             return None
         payload_text, provenance = read
         if payload_text == "":
             self._stats_misses += 1
             if observer is not None:
-                observer.cache_miss(key, kind, reason="corrupt")
+                observer.emit(
+                    CacheMissEvent(
+                        minute=0, key=key, result_kind=kind, reason="corrupt"
+                    )
+                )
             return None
         self._remember(key, kind, payload_text, provenance)
         self._stats_hits += 1
@@ -200,12 +207,15 @@ class ResultStore:
         source: str,
         provenance: dict[str, Any],
     ) -> None:
-        observer.cache_hit(
-            key,
-            kind,
-            source=source,
-            producer_trace_id=str(provenance.get("trace_id", "")),
-            producer_epoch=int(provenance.get("epoch", 0)),
+        observer.emit(
+            CacheHitEvent(
+                minute=0,
+                key=key,
+                result_kind=kind,
+                source=source,
+                producer_trace_id=str(provenance.get("trace_id", "")),
+                producer_epoch=int(provenance.get("epoch", 0)),
+            )
         )
 
     def _read_blob(self, key: str) -> tuple[str, dict[str, Any]] | None:
@@ -453,8 +463,14 @@ class ResultStore:
             evicted.append(key)
             self._stats_evictions += 1
             if observer is not None:
-                observer.cache_evicted(
-                    key, entry["kind"], entry["nbytes"], reason="gc"
+                observer.emit(
+                    CacheEvictedEvent(
+                        minute=0,
+                        key=key,
+                        result_kind=entry["kind"],
+                        bytes=entry["nbytes"],
+                        reason="gc",
+                    )
                 )
         if evicted:
             self._rewrite_index(survivors)

@@ -311,22 +311,3 @@ class TestIntegrationSeams:
         vector = result()
         scalar = result(vector_decide=False)
         assert vector.canonical_json() == scalar.canonical_json()
-
-    def test_capacity_phase_timers(self):
-        scenario = make_capacity_scenario(
-            "cluster-day", seed=12, minutes=60, pods=8
-        )
-        engine = ClusterEngine(scenario, time_phases=True)
-        untimed = ClusterEngine(
-            make_capacity_scenario("cluster-day", seed=12, minutes=60, pods=8)
-        )
-        timed_result = engine.run()
-        assert set(engine.phase_seconds) == {
-            "recommender",
-            "placement",
-            "contention",
-        }
-        assert sum(engine.phase_seconds.values()) > 0.0
-        # Timing never perturbs the run.
-        assert timed_result.canonical_json() == untimed.run().canonical_json()
-        assert sum(untimed.phase_seconds.values()) == 0.0

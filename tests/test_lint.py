@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import textwrap
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.lint import (
     render_rule_list,
     render_text,
 )
+from repro.obs import events
 
 ALL_CODES = (
     "API001",
@@ -657,20 +660,20 @@ def test_obs001_quiet_on_declared_emit():
     assert "OBS001" not in codes(report.findings)
 
 
-def test_obs001_flags_declared_class_missing_from_all():
-    events_module = """
-        class ObsEvent:
-            pass
+def test_event_left_out_of_all_still_round_trips(monkeypatch):
+    """Defining an event registers it; ``__all__`` no longer matters."""
 
-        class DecisionEvent(ObsEvent):
-            pass
+    monkeypatch.setattr(events, "_EVENT_TYPES", dict(events._EVENT_TYPES))
 
-        __all__ = ["ObsEvent"]
-    """
-    report = lint_sources(
-        [("src/repro/obs/events.py", textwrap.dedent(events_module))]
-    )
-    assert "OBS001" in codes(report.findings)
+    @dataclass(frozen=True)
+    class UnexportedEvent(events.ObsEvent):
+        kind: ClassVar[str] = "unexported"
+
+        note: str = ""
+
+    assert "UnexportedEvent" not in events.__all__
+    original = UnexportedEvent(minute=3, note="kept")
+    assert events.event_from_dict(original.to_dict()) == original
 
 
 # ---------------------------------------------------------------------------
