@@ -1,0 +1,207 @@
+"""Golden K/C/N corpus: the byte-identity oracle for the simulation paths.
+
+Small, seeded, unobserved runs through every route a CaaSPER decision
+can take — the single-lane engine path, the batched engine with one-lane
+and many-lane cohorts (with and without certified axis reductions), the
+engine seams of the sweep and the tuning search, a serial fleet sweep,
+and every capacity scenario. Each run's results are reduced to the
+sha256 of their canonical JSON (:func:`repro.fleet.codec.canonical_json`,
+or :meth:`~repro.capacity.results.CapacityResult.canonical_json`) and
+compared with ``tests/golden/kcn_corpus.json``.
+
+A refactor of the decision kernels, the engine or the seams must leave
+every digest as it is. To re-record the corpus after an *intended*
+output change, run ``PYTHONPATH=src python tests/test_kcn_golden.py
+--write`` and say in the change why the outputs moved.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+import pytest
+
+import repro.engine.kernel as kernel
+from repro.capacity import make_capacity_scenario, run_capacity
+from repro.capacity.scenarios import capacity_scenario_names
+from repro.core.config import CaasperConfig, RoundingMode
+from repro.engine import BatchEngine, EngineJob
+from repro.fleet import FleetRunner, sweep_plan
+from repro.fleet.codec import canonical_json
+from repro.fleet.plans import sweep_outcome
+from repro.sim import SimulatorConfig
+from repro.sim.sweep import SweepConfig, run_sweep
+from repro.trace import CpuTrace
+from repro.tuning import RandomSearch
+
+CORPUS_PATH = Path(__file__).parent / "golden" / "kcn_corpus.json"
+
+REACTIVE = CaasperConfig(max_cores=16)
+PROACTIVE = CaasperConfig(
+    max_cores=16,
+    proactive=True,
+    seasonal_period_minutes=60,
+    forecast_horizon_minutes=20,
+    history_tail_minutes=30,
+)
+SIM = SimulatorConfig(initial_cores=4, max_cores=16)
+
+
+def _trace(minutes: int, seed: int, name: str, peak: float = 5.0) -> CpuTrace:
+    """Seasonal demand with noise: crosses core boundaries both ways."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(minutes)
+    samples = peak * (0.55 + 0.35 * np.sin(2 * np.pi * t / 60.0))
+    samples = samples + rng.uniform(0.0, peak * 0.3, minutes)
+    return CpuTrace(np.maximum(samples, 0.0), name)
+
+
+def _ragged_jobs() -> list[EngineJob]:
+    """Heterogeneous lanes: two shared cohorts plus one-lane cohorts."""
+    shared = CaasperConfig(max_cores=16, window_minutes=40)
+    lanes = [
+        (shared, SIM),
+        (shared.with_updates(s_high=2.0, rounding=RoundingMode.CEIL), SIM),
+        (shared.with_updates(m_low=0.5, c_min=2), SimulatorConfig(2, max_cores=16)),
+        (CaasperConfig(max_cores=16, window_minutes=20), SIM),
+        (CaasperConfig(max_cores=12, quantile=0.9), SimulatorConfig(3, max_cores=12)),
+        (
+            CaasperConfig(max_cores=16, slope_scale=20.0),
+            SimulatorConfig(4, max_cores=16, resize_delay_minutes=2),
+        ),
+        (PROACTIVE, SIM),
+        (PROACTIVE.with_updates(s_low=0.2), SIM),
+        (
+            PROACTIVE.with_updates(forecast_horizon_minutes=10),
+            SimulatorConfig(4, max_cores=16, decision_interval_minutes=5),
+        ),
+    ]
+    lengths = (240, 97, 180, 240, 150, 61, 240, 200, 130)
+    return [
+        EngineJob.from_config(
+            _trace(minutes, 40 + lane, f"ragged-{lane}", peak=4.0 + lane), config, sim
+        )
+        for lane, ((config, sim), minutes) in enumerate(zip(lanes, lengths))
+    ]
+
+
+def _sweep_traces() -> list[CpuTrace]:
+    """Eight traces; their per-trace ceilings are partly shared."""
+    peaks = (2.0, 2.0, 2.0, 5.0, 5.0, 8.0, 11.0, 14.0)
+    return [
+        _trace(180, 60 + index, f"sweep-{index}", peak=peak)
+        for index, peak in enumerate(peaks)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The runs. Each returns the canonical JSON of its results.
+
+
+def run_one_reactive_lane() -> str:
+    job = EngineJob.from_config(_trace(240, 1, "one-reactive"), REACTIVE, SIM)
+    return canonical_json(BatchEngine().run([job]))
+
+
+def run_one_proactive_lane() -> str:
+    job = EngineJob.from_config(_trace(240, 2, "one-proactive"), PROACTIVE, SIM)
+    return canonical_json(BatchEngine().run([job]))
+
+
+def run_ragged_batch() -> str:
+    return canonical_json(BatchEngine().run(_ragged_jobs()))
+
+
+def run_ragged_batch_uncertified() -> str:
+    saved = kernel._AXIS_OK
+    kernel._AXIS_OK = False
+    try:
+        return canonical_json(BatchEngine().run(_ragged_jobs()))
+    finally:
+        kernel._AXIS_OK = saved
+
+
+def run_sweep_engine() -> str:
+    outcome = run_sweep(_sweep_traces(), SweepConfig(), engine=BatchEngine())
+    return canonical_json(outcome.results)
+
+
+def run_random_search_engine() -> str:
+    search = RandomSearch(_trace(240, 3, "tune"), SimulatorConfig(4, max_cores=16))
+    return canonical_json(search.run(24, seed=5, engine=BatchEngine()).trials)
+
+
+def run_fleet_sweep() -> str:
+    plan = sweep_plan(_sweep_traces(), config=SweepConfig(), name="golden-kcn")
+    outcome = FleetRunner().run(plan).require_success()
+    return canonical_json(sweep_outcome(outcome).results)
+
+
+def _capacity_run(name: str) -> Callable[[], str]:
+    def run() -> str:
+        scenario = make_capacity_scenario(name, seed=2, minutes=120, pods=16)
+        return run_capacity(scenario).canonical_json()
+
+    return run
+
+
+RUNS: dict[str, Callable[[], str]] = {
+    "engine-one-reactive-lane": run_one_reactive_lane,
+    "engine-one-proactive-lane": run_one_proactive_lane,
+    "engine-ragged-batch": run_ragged_batch,
+    "engine-ragged-batch-uncertified": run_ragged_batch_uncertified,
+    "sweep-engine": run_sweep_engine,
+    "random-search-engine": run_random_search_engine,
+    "fleet-sweep-serial": run_fleet_sweep,
+    **{
+        f"capacity-{name}": _capacity_run(name)
+        for name in capacity_scenario_names()
+    },
+}
+
+
+def digest(name: str) -> str:
+    """Run one corpus entry; the sha256 of its canonical JSON."""
+    return hashlib.sha256(RUNS[name]().encode("utf-8")).hexdigest()
+
+
+def _load_corpus() -> dict[str, str]:
+    return json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(autouse=True)
+def _hard_timeout(hard_timeout):
+    yield
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_outputs_match_corpus(name):
+    assert digest(name) == _load_corpus()[name]
+
+
+def test_corpus_lists_every_run():
+    assert sorted(_load_corpus()) == sorted(RUNS)
+
+
+def test_uncertified_batch_matches_certified_digest():
+    # Axis reductions only pick a kernel; the outputs never move.
+    corpus = _load_corpus()
+    assert (
+        corpus["engine-ragged-batch-uncertified"] == corpus["engine-ragged-batch"]
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_kcn_golden.py --write")
+    corpus = {name: digest(name) for name in sorted(RUNS)}
+    CORPUS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    CORPUS_PATH.write_text(
+        json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {CORPUS_PATH} ({len(corpus)} runs)")
