@@ -100,29 +100,26 @@ class _TenantState:
 class ClusterEngine:
     """One seeded capacity run over a :class:`CapacityScenario`.
 
+    Without an observer, the tenants due at a minute decide together
+    through :func:`repro.engine.batch.decide_cohort` — byte-identical
+    to one scalar ``recommend`` each. An observed run consults each
+    recommender in turn, since only the scalar path emits the
+    per-decision derivations.
+
     Parameters
     ----------
     scenario, observer:
         The seeded scenario and optional telemetry sink.
-    vector_decide:
-        Step all same-shaped tenant recommenders due at a minute through
-        the vectorized Algorithm 1 kernels (:mod:`repro.engine.kernel`)
-        instead of one scalar ``recommend`` each — byte-identical
-        decisions, certified at import. Only active without an observer
-        (the scalar path emits per-decision derivations the kernels do
-        not materialise).
     """
 
     def __init__(
         self,
         scenario: CapacityScenario,
         observer: Observer | None = None,
-        vector_decide: bool = True,
     ) -> None:
         self.scenario = scenario
         self.config: CapacityConfig = scenario.config
         self.observer = observer
-        self.vector_decide = vector_decide
         self.placement = PlacementEngine()
         self.autoscaler: NodePoolAutoscaler
         self.tenants: list[_TenantState] = []
@@ -475,7 +472,7 @@ class ClusterEngine:
             due.append(state)
         if not due:
             return
-        if self.vector_decide and self.observer is None:
+        if self.observer is None:
             targets = self._decide_vector(minute, due)
         else:
             targets = [
@@ -511,21 +508,13 @@ class ClusterEngine:
         """One batched Algorithm 1 decision per due tenant.
 
         Byte-identical to consulting each recommender in turn: lanes
-        sharing curve geometry (core ceiling, history length) step
-        through :func:`~repro.engine.kernel.decide_batch` together,
-        singletons and uncertified builds use
-        :func:`~repro.engine.kernel.decide_lane`, and a tenant with no
-        observed history yet falls back to its own scalar ``recommend``
-        (the hold-current-allocation rule).
+        sharing curve geometry (core ceiling, history length) decide as
+        one :func:`~repro.engine.batch.decide_cohort`, and a tenant with
+        no observed history yet falls back to its own scalar
+        ``recommend`` (the hold-current-allocation rule).
         """
-        from ..engine.kernel import (
-            LaneParams,
-            axis_reductions_certified,
-            decide_batch,
-            decide_lane,
-            replications_certified,
-            rounding_code,
-        )
+        from ..engine.batch import decide_cohort
+        from ..engine.kernel import LaneParams
 
         targets = [0] * len(due)
         windows: list[np.ndarray] = []
@@ -546,31 +535,7 @@ class ClusterEngine:
                 config.quantile,
             )
             groups.setdefault(key, []).append(position)
-        fast = replications_certified()
         for (max_cores, _n, slope_scale, quantile), members in groups.items():
-            ks = np.arange(1, max_cores + 1)
-            if len(members) == 1 or not axis_reductions_certified():
-                for position in members:
-                    config = due[position].recommender.config
-                    targets[position] = decide_lane(
-                        windows[position],
-                        due[position].limit_cores,
-                        config.s_high,
-                        config.s_low,
-                        config.m_high,
-                        config.m_low,
-                        float(config.sf_max_up),
-                        float(config.sf_max_down),
-                        config.c_min,
-                        config.scale_down_headroom,
-                        rounding_code(config.rounding.value),
-                        max_cores,
-                        slope_scale,
-                        quantile,
-                        ks,
-                        fast=fast,
-                    )
-                continue
             params = LaneParams.from_configs(
                 [due[position].recommender.config for position in members]
             )
@@ -579,8 +544,8 @@ class ClusterEngine:
                 dtype=np.int64,
             )
             stacked = np.stack([windows[position] for position in members])
-            out = decide_batch(
-                stacked, cur, params, max_cores, slope_scale, quantile, fast=fast
+            out = decide_cohort(
+                stacked, cur, params, max_cores, slope_scale, quantile
             )
             for offset, position in enumerate(members):
                 targets[position] = int(out[offset])

@@ -49,7 +49,6 @@ from .kernel import (
     axis_reductions_certified,
     decide_batch,
     decide_lane,
-    replications_certified,
     rounding_code,
 )
 
@@ -57,7 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.observer import Observer
     from ..store.cas import ResultStore
 
-__all__ = ["BatchEngine", "vectorizable"]
+__all__ = ["BatchEngine", "decide_cohort", "vectorizable"]
 
 #: How many seasonal periods of history a proactive lane retains
 #: (mirrors ``repro.core.recommender._HISTORY_PERIODS``).
@@ -95,7 +94,6 @@ class _Cohort:
     horizon: int
     history_tail: int
     maxlen: int
-    ks: np.ndarray
     hidx: np.ndarray | None
 
 
@@ -137,7 +135,6 @@ def _build_cohorts(jobs: Sequence[EngineJob]) -> list[_Cohort]:
                 horizon=config.forecast_horizon_minutes,
                 history_tail=config.history_tail_minutes,
                 maxlen=max(_HISTORY_PERIODS * period, config.window_minutes),
-                ks=np.arange(1, config.max_cores + 1),
                 hidx=(
                     np.arange(config.forecast_horizon_minutes) % period
                     if config.proactive
@@ -146,6 +143,45 @@ def _build_cohorts(jobs: Sequence[EngineJob]) -> list[_Cohort]:
             )
         )
     return cohorts
+
+
+def decide_cohort(
+    window: np.ndarray,
+    cur: np.ndarray,
+    params: LaneParams,
+    max_cores: int,
+    slope_scale: float,
+    quantile: float,
+) -> np.ndarray:
+    """Algorithm 1 for every row of a cohort's ``(lanes, n)`` window.
+
+    The one place that picks a kernel: many rows go through
+    :func:`decide_batch` in one call; a single row, or every row when
+    axis reductions are not certified on this build, goes through
+    :func:`decide_lane`. Either way each target is bit-equal to the
+    scalar oracle's.
+    """
+    if len(window) > 1 and axis_reductions_certified():
+        return decide_batch(window, cur, params, max_cores, slope_scale, quantile)
+    ks = np.arange(1, max_cores + 1)
+    # Zipped in decide_lane's positional order, as Python scalars.
+    lanes = zip(
+        window,
+        cur.tolist(),
+        params.s_high.tolist(),
+        params.s_low.tolist(),
+        params.m_high.tolist(),
+        params.m_low.tolist(),
+        params.sf_max_up.tolist(),
+        params.sf_max_down.tolist(),
+        params.c_min.tolist(),
+        params.scale_down_headroom.tolist(),
+        params.rounding.tolist(),
+    )
+    return np.array(
+        [decide_lane(*lane, max_cores, slope_scale, quantile, ks) for lane in lanes],
+        dtype=np.int64,
+    )
 
 
 def _finalize(
@@ -232,9 +268,8 @@ class BatchEngine:
                 job.simulator,
             )
 
-        if len(vector) == 1 or (vector and not axis_reductions_certified()):
-            for index in vector:
-                results[index] = _simulate_lane(jobs[index])
+        if len(vector) == 1:
+            results[vector[0]] = _simulate_lane(jobs[vector[0]])
         elif vector:
             batch = _simulate_many([jobs[i] for i in vector])
             for index, result in zip(vector, batch):
@@ -294,7 +329,6 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
     delay = sim.resize_delay_minutes
     max_cores = config.max_cores
     ks = np.arange(1, max_cores + 1)
-    fast = replications_certified()
     rounding = rounding_code(config.rounding.value)
     if config.proactive:
         period = config.seasonal_period_minutes
@@ -370,7 +404,6 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
                     slope_scale=config.slope_scale,
                     quantile=config.quantile,
                     ks=ks,
-                    fast=fast,
                 )
                 if target < 1:
                     raise SimulationError(
@@ -552,14 +585,13 @@ def _decide_cohorts(
         else:
             n = min(minute + 1, cohort.window_minutes)
             window = usage[idx, minute + 1 - n : minute + 1]
-        targets = decide_batch(
+        targets = decide_cohort(
             window,
             limit[idx],
             params.gather(idx),
             cohort.max_cores,
             cohort.slope_scale,
             cohort.quantile,
-            fast=replications_certified(),
         )
         if (targets < 1).any():
             bad = int(targets[targets < 1][0])

@@ -125,9 +125,11 @@ def decide_batch(
     max_cores: int,
     slope_scale: float,
     quantile: float,
-    fast: bool = True,
 ) -> np.ndarray:
     """Algorithm 1 for every row of ``window`` at once.
+
+    The quantile is a manual lerp over the sorted rows when
+    :func:`replications_certified`, ``np.quantile`` otherwise.
 
     Parameters
     ----------
@@ -140,10 +142,6 @@ def decide_batch(
         Per-lane thresholds, already gathered down to these lanes.
     max_cores, slope_scale, quantile:
         Cohort-uniform curve parameters.
-    fast:
-        Use the certified manual quantile lerp over a sorted window
-        instead of ``np.quantile``; pass
-        ``replications_certified()`` here.
 
     Returns
     -------
@@ -179,7 +177,7 @@ def decide_batch(
     slope = np.where(above_curve, 0.0, slopes[rows, cur_idx])
     perf_at_cur = perf[rows, cur_idx]
 
-    if fast:
+    if _REPLICA_OK:
         # np.quantile's linear method, vectorized over the sorted rows,
         # including its gamma >= 0.5 rewrite (certified at import).
         sw = np.sort(window, axis=1)
@@ -286,15 +284,14 @@ def decide_lane(
     slope_scale: float,
     quantile: float,
     ks: np.ndarray,
-    fast: bool = True,
 ) -> int:
     """Algorithm 1 for one lane, tuned for per-decision latency.
 
-    ``fast=True`` (the default when :func:`certify` passed) swaps the
-    oracle's mean/std/skew/quantile reductions for certified bit-equal
-    replications built on ``np.add.reduce`` and a manual linear
-    interpolation over the already-sorted window. ``fast=False`` runs
-    the oracle's own numpy calls — always exact, roughly 2× slower.
+    When :func:`replications_certified`, the oracle's mean/std/skew/
+    quantile reductions are swapped for certified bit-equal replications
+    built on ``np.add.reduce`` and a manual linear interpolation over
+    the already-sorted window. Otherwise the oracle's own numpy calls
+    run — always exact, roughly 2× slower.
     """
     n = window.size
     sw = np.sort(window)
@@ -306,7 +303,7 @@ def decide_lane(
     padded[max_cores] = 1.0
     slopes = (padded[1:] - padded[:max_cores]) * slope_scale
 
-    if fast:
+    if _REPLICA_OK:
         mean = np.add.reduce(slopes) / float(max_cores)
         centered = slopes - mean
         sq = centered * centered

@@ -42,7 +42,6 @@ from .journal import FleetJournal
 from .relay import WorkerTelemetry, collect, replay, worker_observer
 
 if TYPE_CHECKING:
-    from ..engine.batch import BatchEngine  # pragma: no cover - typing only
     from ..store.cas import ResultStore
 
 __all__ = ["FleetRunner", "FleetOutcome"]
@@ -233,16 +232,6 @@ class FleetRunner:
         recorded as ``ok`` with zero elapsed seconds — and workers
         write missing results back through the store's atomic blob
         path. After the run, a size-budgeted store is GC'd.
-    engine:
-        Optional :class:`~repro.engine.batch.BatchEngine`. On the
-        serial path with no observer, engine-eligible pending jobs
-        (``SimulateJob`` with a batchable CaaSPER recommender, any
-        ``TrialJob``) step as one vectorized batch instead of one
-        scalar loop per job — byte-identical results, same store keys.
-        Ineligible jobs, parallel runs, and observed runs (which need
-        per-job worker telemetry) use the ordinary per-job path; an
-        engine failure falls back to per-job execution rather than
-        failing the jobs.
     """
 
     def __init__(
@@ -254,7 +243,6 @@ class FleetRunner:
         observer: Observer | None = None,
         max_in_flight: int | None = None,
         store: "ResultStore | None" = None,
-        engine: "BatchEngine | None" = None,
     ) -> None:
         if workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
@@ -275,7 +263,6 @@ class FleetRunner:
         self.observer = observer
         self.max_in_flight = max_in_flight or workers * 2
         self.store = store
-        self.engine = engine
 
     def with_observer(self, observer: Observer | None) -> "FleetRunner":
         """A copy of this runner bound to ``observer``.
@@ -294,7 +281,6 @@ class FleetRunner:
             observer=observer,
             max_in_flight=self.max_in_flight,
             store=self.store,
-            engine=self.engine,
         )
 
     def with_store(self, store: "ResultStore | None") -> "FleetRunner":
@@ -310,7 +296,6 @@ class FleetRunner:
             observer=self.observer,
             max_in_flight=self.max_in_flight,
             store=store,
-            engine=self.engine,
         )
 
     # -- public API ---------------------------------------------------
@@ -358,16 +343,9 @@ class FleetRunner:
     ) -> dict[str, JobRecord]:
         records: dict[str, JobRecord] = {}
         capture = self.observer is not None
-        batched = self._engine_batch(plan, pending)
         for job in pending:
             self._emit_started(plan, job)
             seed = plan.seed_for(job)
-            if job.job_id in batched:
-                result, elapsed = batched[job.job_id]
-                outcome = (job.job_id, "ok", result, None, None, elapsed)
-                record = self._merge_one(plan, outcome, journal)
-                records[record.job_id] = record
-                continue
             key = self._cache_key(job, seed)
             hit = self._cache_get(job, key)
             if hit is not None:
@@ -381,70 +359,6 @@ class FleetRunner:
             record = self._merge_one(plan, outcome, journal)
             records[record.job_id] = record
         return records
-
-    def _engine_batch(
-        self, plan: FleetPlan, pending: list[FleetJob]
-    ) -> dict[str, tuple[object, float]]:
-        """Step engine-eligible pending jobs as one vectorized batch.
-
-        Returns ``job_id -> (result, elapsed_seconds)`` for the jobs the
-        engine handled (store hits included, at 0.0 elapsed, under the
-        same per-job keys the scalar path uses). Active only on the
-        serial, unobserved path; any engine exception abandons the batch
-        and leaves every miss to ordinary per-job execution — degrade to
-        slow, never to wrong or to failed.
-        """
-        if self.engine is None or self.observer is not None:
-            return {}
-        from ..engine.jobs import EngineJob, engine_job_for
-        from .jobs import SimulateJob, TrialJob
-
-        handled: dict[str, tuple[object, float]] = {}
-        lanes: list[tuple[FleetJob, EngineJob, str | None]] = []
-        for job in pending:
-            seed = plan.seed_for(job)
-            key = self._cache_key(job, seed)
-            hit = self._cache_get(job, key)
-            if hit is not None:
-                handled[job.job_id] = (hit, 0.0)
-                continue
-            if isinstance(job, SimulateJob):
-                engine_job = engine_job_for(
-                    job.trace, job.recommender, job.simulator
-                )
-            elif isinstance(job, TrialJob):
-                engine_job = EngineJob.from_config(
-                    job.demand, job.config, job.simulator
-                )
-            else:
-                engine_job = None
-            if engine_job is not None:
-                lanes.append((job, engine_job, key))
-        if not lanes:
-            return handled
-        start = time.perf_counter()
-        try:
-            results = self.engine.run([lane[1] for lane in lanes])
-        except Exception:  # lint: disable=EXC001 - per-job path recovers
-            return handled
-        per_job = (time.perf_counter() - start) / len(lanes)
-        for (job, _engine_job, key), result in zip(lanes, results):
-            if isinstance(job, TrialJob):
-                from ..tuning.search import TrialResult
-
-                metrics = result.metrics
-                result = TrialResult(
-                    config=job.config,
-                    total_slack=metrics.total_slack,
-                    total_insufficient_cpu=metrics.total_insufficient_cpu,
-                    num_scalings=metrics.num_scalings,
-                )
-            handled[job.job_id] = (result, per_job)
-            if key is not None:
-                # Matches the unobserved serial path's write-back: no
-                # worker telemetry, so no producer stamp.
-                self._cache_put(key, job.kind, result)
-        return handled
 
     # -- store shortcut -----------------------------------------------
 
