@@ -195,13 +195,7 @@ class TrialJob(FleetJob):
 
         recommender = CaasperRecommender(self.config, keep_decisions=False)
         result = simulate_trace(self.demand, recommender, self.simulator, observer)
-        metrics = result.metrics
-        return TrialResult(
-            config=self.config,
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
+        return TrialResult.from_simulation(self.config, result)
 
     def digest_payload(self) -> dict[str, Any]:
         payload = super().digest_payload()

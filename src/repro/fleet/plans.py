@@ -21,6 +21,7 @@ from ..sim.sweep import (
     SweepConfig,
     SweepOutcome,
     default_recommender_factory,
+    sweep_entry,
 )
 from ..trace import CpuTrace
 from .jobs import ChaosJob, FleetPlan, SimulateJob
@@ -60,8 +61,8 @@ def sweep_plan(
 def sweep_outcome(outcome: FleetOutcome) -> SweepOutcome:
     """Merge a sweep plan's fleet outcome into a :class:`SweepOutcome`.
 
-    Applies the same result normalisation as the serial sweep (the
-    per-run ``detail`` payload is dropped), so serial and fleet sweeps
+    Applies the serial sweep's normalisation
+    (:func:`~repro.sim.sweep.sweep_entry`), so serial and fleet sweeps
     compare equal field-for-field.
     """
     results: dict[str, SimulationResult] = {}
@@ -71,14 +72,7 @@ def sweep_outcome(outcome: FleetOutcome) -> SweepOutcome:
                 f"job {job_id!r} did not return a SimulationResult "
                 f"(got {type(result).__name__}); was this a sweep plan?"
             )
-        results[job_id] = SimulationResult(
-            name=job_id,
-            demand=result.demand,
-            usage=result.usage,
-            limits=result.limits,
-            events=result.events,
-            metrics=result.metrics,
-        )
+        results[job_id] = sweep_entry(job_id, result)
     return SweepOutcome(results=results)
 
 

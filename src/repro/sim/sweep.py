@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
-__all__ = ["SweepConfig", "SweepOutcome", "run_sweep"]
+__all__ = ["SweepConfig", "SweepOutcome", "run_sweep", "sweep_entry"]
 
 #: Builds a fresh recommender per trace (recommenders are stateful).
 RecommenderFactory = Callable[[CpuTrace], Recommender]
@@ -169,6 +169,22 @@ def default_recommender_factory(
     return factory
 
 
+def sweep_entry(name: str, result: SimulationResult) -> SimulationResult:
+    """One run as a sweep records it: renamed to ``name``, no ``detail``.
+
+    Every sweep path (serial, engine, fleet) normalises through this, so
+    their outcomes compare equal field for field.
+    """
+    return SimulationResult(
+        name=name,
+        demand=result.demand,
+        usage=result.usage,
+        limits=result.limits,
+        events=result.events,
+        metrics=result.metrics,
+    )
+
+
 def run_sweep(
     traces: Sequence[CpuTrace],
     config: SweepConfig | None = None,
@@ -211,9 +227,9 @@ def run_sweep(
         engine-eligible trace in one vectorized batch (byte-identical
         results, see ``docs/ENGINE.md``). Only used on the serial
         in-process path with no ``observer`` — per-minute telemetry and
-        per-trace spans need the scalar loop, and an ``executor`` shards
-        work its own way (construct the :class:`FleetRunner` with an
-        engine instead). Ineligible recommenders fall back per trace.
+        per-trace spans need the scalar loop, and an ``executor`` runs
+        one scalar job per trace instead. Ineligible recommenders fall
+        back per trace.
     """
     if not traces:
         raise SimulationError("sweep needs at least one trace")
@@ -255,14 +271,7 @@ def run_sweep(
             results[name] = result
         return SweepOutcome(
             results={
-                trace.name: SimulationResult(
-                    name=trace.name,
-                    demand=results[trace.name].demand,
-                    usage=results[trace.name].usage,
-                    limits=results[trace.name].limits,
-                    events=results[trace.name].events,
-                    metrics=results[trace.name].metrics,
-                )
+                trace.name: sweep_entry(trace.name, results[trace.name])
                 for trace in traces
             }
         )
@@ -282,12 +291,5 @@ def run_sweep(
             result = simulate_trace(
                 trace, recommender, config.simulator_for(trace), store=store
             )
-        results[trace.name] = SimulationResult(
-            name=trace.name,
-            demand=result.demand,
-            usage=result.usage,
-            limits=result.limits,
-            events=result.events,
-            metrics=result.metrics,
-        )
+        results[trace.name] = sweep_entry(trace.name, result)
     return SweepOutcome(results=results)

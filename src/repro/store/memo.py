@@ -98,13 +98,7 @@ def cached_trial(
         key = None
     recommender = CaasperRecommender(config, keep_decisions=False)
     result = simulate_trace(demand, recommender, simulator, observer)
-    metrics = result.metrics
-    trial = TrialResult(
-        config=config,
-        total_slack=metrics.total_slack,
-        total_insufficient_cpu=metrics.total_insufficient_cpu,
-        num_scalings=metrics.num_scalings,
-    )
+    trial = TrialResult.from_simulation(config, result)
     if store is not None and key is not None:
         store.put(
             key,

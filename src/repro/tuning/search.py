@@ -29,6 +29,7 @@ from .space import ParameterSpace
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchEngine
     from ..fleet.runner import FleetRunner
+    from ..sim.results import SimulationResult
     from ..store.cas import ResultStore
 
 __all__ = ["RandomSearch", "SearchOutcome", "TrialResult"]
@@ -120,13 +121,7 @@ def _engine_outcome(
     # (K, C, N + config), not full ``simulate`` results.
     results = engine.run(jobs)
     for job, slot, result in zip(jobs, slots, results):
-        metrics = result.metrics
-        trial = TrialResult(
-            config=configs[slot],
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
+        trial = TrialResult.from_simulation(configs[slot], result)
         trials[slot] = trial
         if store is not None:
             from ..obs.tracing import derive_trace_id, simulate_trace_name
@@ -158,6 +153,19 @@ class TrialResult:
     total_slack: float
     total_insufficient_cpu: float
     num_scalings: int
+
+    @classmethod
+    def from_simulation(
+        cls, config: CaasperConfig, result: SimulationResult
+    ) -> "TrialResult":
+        """The trial of ``config``: K, C and N read off its simulated run."""
+        metrics = result.metrics
+        return cls(
+            config=config,
+            total_slack=metrics.total_slack,
+            total_insufficient_cpu=metrics.total_insufficient_cpu,
+            num_scalings=metrics.num_scalings,
+        )
 
     @property
     def is_proactive(self) -> bool:
@@ -251,13 +259,7 @@ class RandomSearch:
             )
         recommender = CaasperRecommender(config, keep_decisions=False)
         result = simulate_trace(self.demand, recommender, self.simulator_config)
-        metrics = result.metrics
-        return TrialResult(
-            config=config,
-            total_slack=metrics.total_slack,
-            total_insufficient_cpu=metrics.total_insufficient_cpu,
-            num_scalings=metrics.num_scalings,
-        )
+        return TrialResult.from_simulation(config, result)
 
     def run(
         self,
