@@ -37,12 +37,18 @@ def test_same_seed_is_byte_identical(name):
     assert first.canonical_json() == second.canonical_json()
 
 
-@pytest.mark.parametrize("name", SCENARIOS)
+@pytest.mark.parametrize("name", (*SCENARIOS, "cluster-day"))
 def test_observer_does_not_perturb_the_run(name):
-    """Attaching observability must never change behaviour."""
-    plain = run_capacity(make_capacity_scenario(name, seed=11, minutes=60))
+    """Attaching observability must never change behaviour.
+
+    An unobserved run decides through the vectorized kernels, an
+    observed one consults each scalar recommender, so this is also the
+    kernel-vs-scalar parity check of the capacity layer.
+    """
+    sizes = {"pods": 16} if name == "cluster-day" else {}
+    plain = run_capacity(make_capacity_scenario(name, seed=11, minutes=60, **sizes))
     observed = run_capacity(
-        make_capacity_scenario(name, seed=11, minutes=60),
+        make_capacity_scenario(name, seed=11, minutes=60, **sizes),
         observer=Observer(),
     )
     assert plain.canonical_json() == observed.canonical_json()
