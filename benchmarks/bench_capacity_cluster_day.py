@@ -6,10 +6,13 @@ independent CaaSPER control loops through the index-backed placement
 engine, the node-pool autoscaler, and the contention model for a full
 simulated day, then proves the run replays byte-identically. The wall
 clock is the claim: a production-sized fleet day must stay cheap enough
-to sweep (the CI acceptance bound is five minutes; typical hardware
-lands well under one). The per-layer split of that wall time comes from
-outside the engine: ``python3 perfbench/run.py --workload cluster-day
---trace 1`` reports placement, autoscaler, recommender and kernel time.
+to sweep (the CI acceptance bound is five minutes). On a shared 2-vCPU
+Xeon VM (Python 3.11, numpy 2.4), ``python3 perfbench/run.py --workload
+cluster-day --seed <i> --seconds 30 --trace 0`` for seeds 0-9 read a
+median of 941k tenant-minutes/s, about 1.5 s of wall per 1000-pod day.
+The per-layer split of that wall time comes from outside the engine:
+``python3 perfbench/run.py --workload cluster-day --trace 1`` reports
+placement, autoscaler, recommender and kernel time.
 
 ``--pods`` and ``--minutes`` (see ``benchmarks/conftest.py``) scale the
 day down for smoke runs without editing this file.
@@ -66,7 +69,7 @@ def test_capacity_cluster_day(once, request):
     # Replay claim: the run is a pure function of the seeded scenario.
     assert result.canonical_json() == replay.canonical_json()
 
-    # The acceptance bound; typical hardware is ~10x under it.
+    # The acceptance bound.
     assert walls["run"] < 300.0
 
     write_bench_json(

@@ -238,9 +238,7 @@ class NodePoolAutoscaler:
         allocatable = sum(
             node.allocatable_millicores for node in self.placement.nodes
         )
-        requested = sum(
-            node.requested_millicores for node in self.placement.nodes
-        )
+        requested = allocatable - self.placement.total_free_millicores()
         utilization = requested / allocatable if allocatable else 1.0
         busy = (
             pending_millicores > 0

@@ -22,6 +22,13 @@ observes the *throttled* usage — so cluster contention corrupts
 exactly the signal CaaSPER scales on, and CaaSPER's own downscaling
 of the resulting slack is what unwinds the overcommit.
 
+Per-tenant loop state lives in numpy columns, one row per tenant:
+demand, limit, slack, insufficient CPU, a serving mask, a node slot and
+a usage ring holding each tenant's decision window. Each minute is a
+handful of array operations over those columns; the serving mask and
+node slots follow the placement log, and only the nodes whose demand
+comes near their capacity are re-summed pod by pod.
+
 Everything is a pure function of the scenario (workloads, config,
 seed): no wall clock, no shared RNG, deterministic iteration order
 throughout — two runs serialise byte-identically.
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.pod import Container, Pod, PodPhase
+from ..cluster.pod import Container, Pod
 from ..cluster.resources import MILLICORES_PER_CORE, ResourceSpec
 from ..core import CaasperConfig, CaasperRecommender
 from ..faults.plan import NodeFault, _mix
@@ -47,6 +54,7 @@ from ..obs.events import (
     ResizeDeferredEvent,
     ResizeEvent,
 )
+from ..trace import validate_usage_sample
 from .autoscaler import NodePoolAutoscaler
 from .contention import water_fill
 from .model import CapacityConfig, TenantSpec
@@ -58,6 +66,11 @@ __all__ = ["ClusterEngine", "run_capacity"]
 
 #: Demand totals within this of capacity are "fits"; guards float dust.
 _EPSILON = 1e-9
+
+#: A node whose bincount demand total comes within this of its capacity
+#: is re-summed in pod order: bincount adds in tenant order, and a float
+#: sum in another order can differ from the exact one by float dust.
+_PREFILTER_MARGIN = 1e-6
 
 #: A capacity-deferred resize is abandoned after this many decision
 #: intervals, so a tenant blocked at max pool size resumes deciding.
@@ -72,39 +85,26 @@ def _name_key(name: str) -> int:
 
 @dataclass
 class _TenantState:
-    """Mutable per-tenant loop state (engine-internal)."""
+    """Per-tenant loop state kept outside the columns (engine-internal)."""
 
     spec: TenantSpec
     index: int
     recommender: CaasperRecommender
     pod: Pod
-    demand: list[float]
-    limit_cores: int
     inflight: tuple[int, int, int] | None = None  # (decided, target, due)
     deferred: tuple[int, int] | None = None  # (decided, target)
-    slack: float = 0.0
-    insufficient: float = 0.0
     resizes: int = 0
     pending_minutes: int = 0
-
-    def demand_at(self, minute: int) -> float:
-        if minute < len(self.demand):
-            return self.demand[minute]
-        return self.demand[-1]
-
-    @property
-    def in_rollout(self) -> bool:
-        return self.inflight is not None or self.deferred is not None
 
 
 class ClusterEngine:
     """One seeded capacity run over a :class:`CapacityScenario`.
 
     Without an observer, the tenants due at a minute decide together
-    through :func:`repro.engine.batch.decide_cohort` — byte-identical
-    to one scalar ``recommend`` each. An observed run consults each
-    recommender in turn, since only the scalar path emits the
-    per-decision derivations.
+    through :func:`repro.engine.batch.decide_cohort` over windows read
+    from the usage ring — byte-identical to one scalar ``recommend``
+    each. An observed run feeds and consults each recommender in turn,
+    since only the scalar path emits the per-decision derivations.
 
     Parameters
     ----------
@@ -123,7 +123,9 @@ class ClusterEngine:
         self.placement = PlacementEngine()
         self.autoscaler: NodePoolAutoscaler
         self.tenants: list[_TenantState] = []
-        self._by_pod: dict[str, _TenantState] = {}
+        self._index_of_pod: dict[str, int] = {}
+        self._slot_of_node: dict[str, int] = {}
+        self._log_seen = 0
         self.throttled_minutes = 0
         self.contention_core_minutes = 0.0
         self.deferred_resizes = 0
@@ -134,12 +136,19 @@ class ClusterEngine:
     # -- construction -------------------------------------------------------------
 
     def _build(self) -> None:
+        from ..engine.kernel import LaneParams
+
         self.placement = PlacementEngine()
         self.autoscaler = NodePoolAutoscaler(
             self.config, self.placement, observer=self.observer
         )
         self.autoscaler.bootstrap()
-        for index, spec in enumerate(self.scenario.tenants):
+        specs = self.scenario.tenants
+        minutes = self.scenario.minutes
+        count = len(specs)
+        self._demand = np.empty((count, minutes))
+        configs = []
+        for index, spec in enumerate(specs):
             pod = Pod(
                 name=f"{spec.name}-0",
                 ordinal=0,
@@ -150,25 +159,59 @@ class ClusterEngine:
                     ),
                 ),
             )
-            state = _TenantState(
-                spec=spec,
-                index=index,
-                recommender=CaasperRecommender(
-                    CaasperConfig(
-                        c_min=spec.min_cores, max_cores=spec.max_cores
-                    ),
-                    keep_decisions=False,
-                ),
-                pod=pod,
-                demand=spec.trace.samples.tolist(),
-                limit_cores=spec.initial_cores,
+            config = CaasperConfig(c_min=spec.min_cores, max_cores=spec.max_cores)
+            configs.append(config)
+            self.tenants.append(
+                _TenantState(
+                    spec=spec,
+                    index=index,
+                    recommender=CaasperRecommender(config, keep_decisions=False),
+                    pod=pod,
+                )
             )
-            self.tenants.append(state)
-            self._by_pod[pod.name] = state
+            self._index_of_pod[pod.name] = index
+            # A short trace holds its last sample; a long one is cut.
+            samples = spec.trace.samples[:minutes]
+            self._demand[index, : samples.size] = samples
+            self._demand[index, samples.size :] = samples[-1]
+        self._limit = np.array([spec.initial_cores for spec in specs], dtype=np.int64)
+        self._min_cores = np.array([spec.min_cores for spec in specs], dtype=np.int64)
+        self._max_cores = np.array([spec.max_cores for spec in specs], dtype=np.int64)
+        self._slack = np.zeros(count)
+        self._insufficient = np.zeros(count)
+        self._serving = np.zeros(count, dtype=bool)
+        self._slot = np.full(count, -1, dtype=np.int64)
+        self._rolling = np.zeros(count, dtype=bool)
+        interval = self.config.decision_interval_minutes
+        self._offset = (
+            np.arange(count) % interval
+            if self.config.stagger_decisions
+            else np.zeros(count, dtype=np.int64)
+        )
+        # The configs differ only in guardrails (c_min, max_cores): the
+        # window length and curve parameters are shared by every tenant.
+        self._shared = configs[0]
+        self._params = LaneParams.from_configs(configs)
+        self._ring = np.zeros((count, self._shared.window_minutes))
+        self._observed = np.zeros(count, dtype=np.int64)
 
     def _in_rollout(self, pod: Pod) -> bool:
-        state = self._by_pod.get(pod.name)
-        return state is not None and state.in_rollout
+        index = self._index_of_pod.get(pod.name)
+        return index is not None and bool(self._rolling[index])
+
+    def _sync_placement(self) -> None:
+        """Apply the placement-log records since the last sync to the
+        serving mask and node slots (every place and move is logged)."""
+        log = self.placement.log
+        for record in log[self._log_seen :]:
+            if record.action not in ("place", "migrate"):
+                continue
+            index = self._index_of_pod[record.pod]
+            self._serving[index] = True
+            self._slot[index] = self._slot_of_node.setdefault(
+                record.to_node, len(self._slot_of_node)
+            )
+        self._log_seen = len(log)
 
     # -- fault wiring -------------------------------------------------------------
 
@@ -286,26 +329,30 @@ class ClusterEngine:
                 ResizeEvent(
                     minute=minute,
                     decided_minute=decided,
-                    from_cores=state.limit_cores,
+                    from_cores=int(self._limit[state.index]),
                     to_cores=target,
                 )
             )
-        state.limit_cores = target
+        self._limit[state.index] = target
+        self._rolling[state.index] = False
         state.resizes += 1
         state.inflight = None
         state.deferred = None
 
     def _tick_resizes(self, minute: int) -> None:
+        rolling = np.flatnonzero(self._rolling).tolist()
+        if not rolling:
+            return
         ttl = _DEFER_TTL_INTERVALS * self.config.decision_interval_minutes
         # The stale view every loop enacting this minute races against.
-        stale_free = {
-            node.name: node.free_millicores for node in self.placement.nodes
-        }
-        for state in self.tenants:
+        stale_free = self.placement.index.free_by_name()
+        for index in rolling:
+            state = self.tenants[index]
             if state.deferred is not None:
                 decided, target = state.deferred
                 if minute - decided > ttl:
                     state.deferred = None
+                    self._rolling[index] = False
                     if self.observer is not None:
                         self.observer.emit(
                             ResizeDeferredEvent(
@@ -316,20 +363,19 @@ class ClusterEngine:
                             )
                         )
                     continue
-                if state.pod.is_serving:
+                if self._serving[index]:
                     self._enact(state, minute, decided, target, stale_free)
             elif state.inflight is not None:
                 decided, target, due = state.inflight
-                if due <= minute and state.pod.is_serving:
+                if due <= minute and self._serving[index]:
                     self._enact(state, minute, decided, target, stale_free)
 
     # -- placement of pending pods ------------------------------------------------
 
     def _tick_pending(self, minute: int) -> None:
         pending = [
-            state
-            for state in self.tenants
-            if state.pod.phase is PodPhase.PENDING
+            self.tenants[index]
+            for index in np.flatnonzero(~self._serving).tolist()
         ]
         # Best-fit-decreasing: largest requests first, name tiebreak.
         pending.sort(
@@ -401,98 +447,152 @@ class ClusterEngine:
         self, minute: int, pressure: dict[str, float]
     ) -> float:
         """Deliver (possibly throttled) CPU; returns throttled cores."""
+        self._sync_placement()
+        serving = self._serving
+        raw = self._demand[:, minute]
+        limit = self._limit.astype(float)
+        capped = np.minimum(raw, limit)
+        usage = np.where(serving, capped, 0.0)
+        throttled_now = self._contend(minute, pressure, capped, usage)
+        served = np.flatnonzero(serving)
+        values = usage[served]
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+        if bad.size:
+            state = self.tenants[int(served[bad[0]])]
+            validate_usage_sample(
+                float(values[bad[0]]), context=f"{state.recommender.name} observe"
+            )
+        self._slack += np.where(serving, np.maximum(limit - usage, 0.0), 0.0)
+        # A pending pod reserves nothing and serves nothing.
+        self._insufficient += np.where(
+            serving, np.maximum(raw - usage, 0.0), raw
+        )
+        self._ring[served, self._observed[served] % self._ring.shape[1]] = values
+        self._observed[served] += 1
+        if self.observer is not None:
+            self._feed_recommenders(minute, raw, usage, self.observer)
+        return throttled_now
+
+    def _contend(
+        self,
+        minute: int,
+        pressure: dict[str, float],
+        capped: np.ndarray,
+        usage: np.ndarray,
+    ) -> float:
+        """Water-fill every over-capacity node into ``usage``; returns
+        the throttled cores.
+
+        Bincount totals only pick the nodes that may be over; each of
+        those is summed in its pod order, as the delivered values and
+        the contention totals depend on that order.
+        """
+        on_node = np.flatnonzero(self._serving)
+        totals = np.bincount(
+            self._slot[on_node],
+            weights=capped[on_node],
+            minlength=len(self._slot_of_node),
+        )
+        capacity = np.full(
+            totals.size,
+            self.config.node_template.allocatable_millicores / MILLICORES_PER_CORE,
+        )
+        for name, cores in pressure.items():
+            slot = self._slot_of_node.get(name)
+            if slot is not None:
+                capacity[slot] -= cores
+        near = totals > capacity - _PREFILTER_MARGIN
+        if not near.any():
+            return 0.0
         throttled_now = 0.0
-        delivered_by_pod: dict[str, float] = {}
         for node in self.placement.nodes:
-            serving = [pod for pod in node.pods if pod.is_serving]
-            if not serving:
+            slot = self._slot_of_node.get(node.name)
+            if slot is None or not near[slot]:
                 continue
-            demands = []
-            for pod in serving:
-                state = self._by_pod[pod.name]
-                capped = min(state.demand_at(minute), float(state.limit_cores))
-                demands.append(capped)
-            capacity = max(
+            members = [self._index_of_pod[pod.name] for pod in node.pods]
+            demands = capped[members].tolist()
+            capacity_cores = max(
                 node.allocatable_millicores / MILLICORES_PER_CORE
                 - pressure.get(node.name, 0.0),
                 0.0,
             )
             total = sum(demands)
-            if total <= capacity + _EPSILON:
-                delivered = demands
-            else:
-                delivered = water_fill(demands, capacity)
-                throttled = total - sum(delivered)
-                throttled_now += throttled
-                self.contention_core_minutes += throttled
-                self.throttled_minutes += 1
-                if self.observer is not None:
-                    self.observer.emit(
-                        NodeContentionEvent(
-                            minute=minute,
-                            node=node.name,
-                            demand_cores=total,
-                            capacity_cores=capacity,
-                            throttled_cores=throttled,
-                            pods=len(serving),
-                        )
+            if total <= capacity_cores + _EPSILON:
+                continue
+            delivered = water_fill(demands, capacity_cores)
+            usage[members] = delivered
+            throttled = total - sum(delivered)
+            throttled_now += throttled
+            self.contention_core_minutes += throttled
+            self.throttled_minutes += 1
+            if self.observer is not None:
+                self.observer.emit(
+                    NodeContentionEvent(
+                        minute=minute,
+                        node=node.name,
+                        demand_cores=total,
+                        capacity_cores=capacity_cores,
+                        throttled_cores=throttled,
+                        pods=len(members),
                     )
-            for pod, value in zip(serving, delivered):
-                delivered_by_pod[pod.name] = value
-        cluster_demand = cluster_usage = cluster_limit = 0.0
-        for state in self.tenants:
-            raw = state.demand_at(minute)
-            cluster_demand += raw
-            if state.pod.is_serving:
-                usage = delivered_by_pod.get(state.pod.name, 0.0)
-                state.slack += max(state.limit_cores - usage, 0.0)
-                state.insufficient += max(raw - usage, 0.0)
-                state.recommender.observe(
-                    minute, usage, state.limit_cores
                 )
-                cluster_usage += usage
-                cluster_limit += state.limit_cores
-            else:
-                # A pending pod reserves nothing and serves nothing.
-                state.insufficient += raw
-        if self.observer is not None:
-            self.observer.sample(
-                minute, cluster_demand, cluster_usage, cluster_limit
-            )
         return throttled_now
 
+    def _feed_recommenders(
+        self,
+        minute: int,
+        raw: np.ndarray,
+        usage: np.ndarray,
+        observer: Observer,
+    ) -> None:
+        """Observed runs: every serving tenant's recommender observes its
+        delivered usage, and the cluster totals are sampled."""
+        cluster_demand = cluster_usage = cluster_limit = 0.0
+        for value in raw.tolist():
+            cluster_demand += value
+        for state, serving, used, limit in zip(
+            self.tenants,
+            self._serving.tolist(),
+            usage.tolist(),
+            self._limit.tolist(),
+        ):
+            if serving:
+                state.recommender.observe(minute, used, limit)
+                cluster_usage += used
+                cluster_limit += limit
+        observer.sample(minute, cluster_demand, cluster_usage, cluster_limit)
+
     def _decide(self, minute: int, interval: int) -> None:
-        due: list[_TenantState] = []
-        for state in self.tenants:
-            offset = state.index % interval if self.config.stagger_decisions else 0
-            if minute % interval != offset:
-                continue
-            if not state.pod.is_serving or state.in_rollout:
-                continue
-            due.append(state)
-        if not due:
+        due = np.flatnonzero(
+            (self._offset == minute % interval) & self._serving & ~self._rolling
+        )
+        if not due.size:
             return
         if self.observer is None:
-            targets = self._decide_vector(minute, due)
+            raw_targets = self._decide_vector(due)
         else:
-            targets = [
-                int(state.recommender.recommend(minute, state.limit_cores))
-                for state in due
-            ]
-        for state, raw_target in zip(due, targets):
-            target = max(
-                state.spec.min_cores, min(state.spec.max_cores, raw_target)
+            raw_targets = np.array(
+                [
+                    int(self.tenants[index].recommender.recommend(minute, limit))
+                    for index, limit in zip(
+                        due.tolist(), self._limit[due].tolist()
+                    )
+                ],
+                dtype=np.int64,
             )
-            if target == state.limit_cores:
-                continue
+        targets = np.clip(raw_targets, self._min_cores[due], self._max_cores[due])
+        for position in np.flatnonzero(targets != self._limit[due]).tolist():
+            index = int(due[position])
+            state = self.tenants[index]
+            target = int(targets[position])
             if self.observer is not None:
                 self.observer.emit(
                     DecisionEvent.from_derivation(
                         minute=minute,
                         recommender=state.recommender.name,
-                        current_cores=state.limit_cores,
-                        raw_target_cores=int(raw_target),
-                        target_cores=int(target),
+                        current_cores=int(self._limit[index]),
+                        raw_target_cores=int(raw_targets[position]),
+                        target_cores=target,
                         derivation=state.recommender.last_decision,
                     )
                 )
@@ -501,74 +601,61 @@ class ClusterEngine:
                 target,
                 minute + self.config.resize_delay_minutes,
             )
+            self._rolling[index] = True
 
-    def _decide_vector(
-        self, minute: int, due: list[_TenantState]
-    ) -> list[int]:
+    def _decide_vector(self, due: np.ndarray) -> np.ndarray:
         """One batched Algorithm 1 decision per due tenant.
 
         Byte-identical to consulting each recommender in turn: lanes
         sharing curve geometry (core ceiling, history length) decide as
-        one :func:`~repro.engine.batch.decide_cohort`, and a tenant with
-        no observed history yet falls back to its own scalar
-        ``recommend`` (the hold-current-allocation rule).
+        one :func:`~repro.engine.batch.decide_cohort` over windows
+        gathered from the usage ring, and a tenant with no observed
+        history yet holds its allocation (at least ``c_min``), as
+        ``recommend`` does.
         """
         from ..engine.batch import decide_cohort
-        from ..engine.kernel import LaneParams
 
-        targets = [0] * len(due)
-        windows: list[np.ndarray] = []
-        groups: dict[tuple[int, int, float, float], list[int]] = {}
-        for position, state in enumerate(due):
-            window = state.recommender.usage_window()
-            windows.append(window)
-            if window.size == 0:
-                targets[position] = int(
-                    state.recommender.recommend(minute, state.limit_cores)
-                )
-                continue
-            config = state.recommender.config
-            key = (
-                config.max_cores,
-                window.size,
-                config.slope_scale,
-                config.quantile,
+        width = self._ring.shape[1]
+        sizes = np.minimum(self._observed[due], width)
+        limits = self._limit[due]
+        targets = np.maximum(limits, self._params.c_min[due])
+        keys = self._max_cores[due] * (width + 1) + sizes
+        for key in np.unique(keys[sizes > 0]).tolist():
+            members = np.flatnonzero(keys == key)
+            rows = due[members]
+            size = int(sizes[members[0]])
+            columns = (self._observed[rows, None] - size + np.arange(size)) % width
+            targets[members] = decide_cohort(
+                self._ring[rows[:, None], columns],
+                limits[members],
+                self._params.gather(rows),
+                int(self._max_cores[rows[0]]),
+                self._shared.slope_scale,
+                self._shared.quantile,
             )
-            groups.setdefault(key, []).append(position)
-        for (max_cores, _n, slope_scale, quantile), members in groups.items():
-            params = LaneParams.from_configs(
-                [due[position].recommender.config for position in members]
-            )
-            cur = np.array(
-                [due[position].limit_cores for position in members],
-                dtype=np.int64,
-            )
-            stacked = np.stack([windows[position] for position in members])
-            out = decide_cohort(
-                stacked, cur, params, max_cores, slope_scale, quantile
-            )
-            for offset, position in enumerate(members):
-                targets[position] = int(out[offset])
         return targets
 
     def _pending_millicores(self) -> int:
         pending = 0
-        for state in self.tenants:
-            if state.pod.phase is PodPhase.PENDING:
+        for index in np.flatnonzero(~self._serving | self._rolling).tolist():
+            state = self.tenants[index]
+            if not self._serving[index]:
                 pending += state.pod.spec.cpu_request_millicores
             elif state.deferred is not None:
                 _, target = state.deferred
-                growth = target - state.limit_cores
+                growth = target - int(self._limit[index])
                 if growth > 0:
                     pending += growth * MILLICORES_PER_CORE
         return pending
 
     def _rollup_minute(self) -> None:
         self.peak_nodes = max(self.peak_nodes, self.autoscaler.ready_count)
+        free = self.placement.index.free_by_name()
         for node in self.placement.nodes:
+            allocatable = node.allocatable_millicores
             utilization = (
-                node.requested_millicores / node.allocatable_millicores
-                if node.allocatable_millicores
+                (allocatable - free[node.name]) / allocatable
+                if allocatable
                 else 0.0
             )
             bucket = min(int(utilization * 10), 9)
@@ -577,19 +664,19 @@ class ClusterEngine:
     # -- results ------------------------------------------------------------------
 
     def _result(self) -> CapacityResult:
+        slack = self._slack.tolist()
+        insufficient = self._insufficient.tolist()
         per_tenant = {
             state.spec.name: ClusterKcn(
-                total_slack=state.slack,
-                total_insufficient_cpu=state.insufficient,
+                total_slack=slack[state.index],
+                total_insufficient_cpu=insufficient[state.index],
                 num_scalings=state.resizes,
             )
             for state in self.tenants
         }
         cluster = ClusterKcn(
-            total_slack=sum(state.slack for state in self.tenants),
-            total_insufficient_cpu=sum(
-                state.insufficient for state in self.tenants
-            ),
+            total_slack=sum(slack),
+            total_insufficient_cpu=sum(insufficient),
             num_scalings=sum(state.resizes for state in self.tenants),
         )
         return CapacityResult(

@@ -69,6 +69,10 @@ class FreeCapacityIndex:
         except KeyError:
             raise CapacityError(f"node {name!r} not indexed") from None
 
+    def free_by_name(self) -> dict[str, int]:
+        """Indexed free CPU of every node, keyed by name (a copy)."""
+        return dict(self._free_by_name)
+
     def best_fit_candidates(self, required_millicores: int) -> list[str]:
         """Node names with ``free >= required``, fullest (least free) first.
 

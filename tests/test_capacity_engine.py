@@ -1,12 +1,20 @@
 """End-to-end tests for the cluster capacity engine and its scenarios."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.capacity import make_capacity_scenario, run_capacity
+from repro.capacity import (
+    capacity_scenario_names,
+    make_capacity_scenario,
+    run_capacity,
+)
 from repro.capacity.engine import ClusterEngine
 from repro.cluster.pod import PodPhase
 from repro.errors import ConfigError
 from repro.obs import Observer
+from repro.trace import CpuTrace
 
 
 def _run_engine(name, seed=3, **kwargs):
@@ -218,3 +226,64 @@ class TestObservability:
             if episode.cause is not None
         }
         assert causes & {"node_contention", "fault_injected", "resize"}
+
+
+class _CheckedEngine(ClusterEngine):
+    """Checks, at the end of every minute, what the columns trust."""
+
+    minutes_checked = 0
+
+    def _rollup_minute(self):
+        for node in self.placement.nodes:
+            assert self.placement.index.free_of(node.name) == node.free_millicores
+        node_of_slot = {slot: name for name, slot in self._slot_of_node.items()}
+        for state in self.tenants:
+            pod = state.pod
+            serving = bool(self._serving[state.index])
+            assert serving == (pod.phase is PodPhase.RUNNING)
+            slot = int(self._slot[state.index])
+            assert node_of_slot.get(slot) == (pod.node_name if serving else None)
+            assert bool(self._rolling[state.index]) == (
+                state.inflight is not None or state.deferred is not None
+            )
+        self.minutes_checked += 1
+        super()._rollup_minute()
+
+
+class TestColumnInvariants:
+    @pytest.mark.parametrize("name", capacity_scenario_names())
+    def test_index_and_columns_match_the_pods_every_minute(self, name):
+        sizes = {"pods": 40, "minutes": 240} if name == "cluster-day" else {}
+        scenario = make_capacity_scenario(name, seed=3, **sizes)
+        engine = _CheckedEngine(scenario)
+        engine.run()
+        assert engine.minutes_checked == scenario.minutes
+
+
+def _with_first_trace(scenario, samples):
+    first = scenario.tenants[0]
+    trace = CpuTrace(np.asarray(samples, dtype=float), name=first.trace.name)
+    tenants = (dataclasses.replace(first, trace=trace), *scenario.tenants[1:])
+    return dataclasses.replace(scenario, tenants=tenants)
+
+
+class TestTraceLength:
+    """A trace shorter than the run holds its last sample; a longer one
+    is cut at the run's end."""
+
+    def _kcn(self, scenario):
+        return run_capacity(scenario).per_tenant
+
+    def test_short_trace_is_padded_with_its_last_sample(self):
+        scenario = make_capacity_scenario("hotspot-node", seed=3, minutes=120)
+        samples = scenario.tenants[0].trace.samples[:70]
+        padded = np.concatenate([samples, np.full(50, samples[-1])])
+        assert self._kcn(_with_first_trace(scenario, samples)) == self._kcn(
+            _with_first_trace(scenario, padded)
+        )
+
+    def test_long_trace_is_truncated(self):
+        scenario = make_capacity_scenario("hotspot-node", seed=3, minutes=120)
+        samples = scenario.tenants[0].trace.samples
+        longer = np.concatenate([samples, np.full(80, 7.5)])
+        assert self._kcn(_with_first_trace(scenario, longer)) == self._kcn(scenario)
