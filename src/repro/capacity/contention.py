@@ -11,7 +11,7 @@ are fully served and their leftovers recycle into the pool.
 Conservation is the load-bearing invariant: the delivered total equals
 ``min(sum(demands), capacity)`` — throttling moves CPU between pods'
 ledgers, it never creates or destroys it. The delivered vector is what
-each tenant's recommender *observes*, so node contention feeds straight
+each tenant's decision window *holds*, so node contention feeds straight
 back into the K metric (throttled usage reads as slack) — the
 corrupted-signal loop of §2.2, closed at cluster scale.
 """

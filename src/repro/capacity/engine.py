@@ -17,10 +17,10 @@ Contention closes the loop the paper leaves open (§2.2): when
 co-located pods' capped demands exceed a node's effective allocatable
 CPU (overcommitted by racing resize-ups, or shrunk by
 :class:`~repro.faults.plan.NodeFault` pressure when a chaos plan is
-attached), delivery is water-filled and each tenant's recommender
-observes the *throttled* usage — so cluster contention corrupts
-exactly the signal CaaSPER scales on, and CaaSPER's own downscaling
-of the resulting slack is what unwinds the overcommit.
+attached), delivery is water-filled and each tenant's decision window
+holds the *throttled* usage — so cluster contention corrupts exactly
+the signal CaaSPER scales on, and CaaSPER's own downscaling of the
+resulting slack is what unwinds the overcommit.
 
 Per-tenant loop state lives in numpy columns, one row per tenant:
 demand, limit, slack, insufficient CPU, a serving mask, a node slot and
@@ -42,7 +42,7 @@ import numpy as np
 
 from ..cluster.pod import Container, Pod
 from ..cluster.resources import MILLICORES_PER_CORE, ResourceSpec
-from ..core import CaasperConfig, CaasperRecommender
+from ..core import CaasperConfig, ReactivePolicy
 from ..faults.plan import NodeFault, _mix
 from ..obs import Observer
 from ..obs.events import (
@@ -54,7 +54,7 @@ from ..obs.events import (
     ResizeDeferredEvent,
     ResizeEvent,
 )
-from ..trace import validate_usage_sample
+from ..trace import CpuTrace, validate_usage_sample
 from .autoscaler import NodePoolAutoscaler
 from .contention import water_fill
 from .model import CapacityConfig, TenantSpec
@@ -89,7 +89,6 @@ class _TenantState:
 
     spec: TenantSpec
     index: int
-    recommender: CaasperRecommender
     pod: Pod
     inflight: tuple[int, int, int] | None = None  # (decided, target, due)
     deferred: tuple[int, int] | None = None  # (decided, target)
@@ -100,11 +99,11 @@ class _TenantState:
 class ClusterEngine:
     """One seeded capacity run over a :class:`CapacityScenario`.
 
-    Without an observer, the tenants due at a minute decide together
-    through :func:`repro.engine.batch.decide_cohort` over windows read
-    from the usage ring — byte-identical to one scalar ``recommend``
-    each. An observed run feeds and consults each recommender in turn,
-    since only the scalar path emits the per-decision derivations.
+    The tenants due at a minute decide together through
+    :func:`repro.engine.batch.decide_cohort` over windows read from the
+    usage ring, observed or not. An observer only adds telemetry: the
+    cluster totals each minute and one ``DecisionEvent`` per allocation
+    change.
 
     Parameters
     ----------
@@ -147,7 +146,7 @@ class ClusterEngine:
         minutes = self.scenario.minutes
         count = len(specs)
         self._demand = np.empty((count, minutes))
-        configs = []
+        self._configs = []
         for index, spec in enumerate(specs):
             pod = Pod(
                 name=f"{spec.name}-0",
@@ -159,23 +158,16 @@ class ClusterEngine:
                     ),
                 ),
             )
-            config = CaasperConfig(c_min=spec.min_cores, max_cores=spec.max_cores)
-            configs.append(config)
-            self.tenants.append(
-                _TenantState(
-                    spec=spec,
-                    index=index,
-                    recommender=CaasperRecommender(config, keep_decisions=False),
-                    pod=pod,
-                )
+            self._configs.append(
+                CaasperConfig(c_min=spec.min_cores, max_cores=spec.max_cores)
             )
+            self.tenants.append(_TenantState(spec=spec, index=index, pod=pod))
             self._index_of_pod[pod.name] = index
             # A short trace holds its last sample; a long one is cut.
             samples = spec.trace.samples[:minutes]
             self._demand[index, : samples.size] = samples
             self._demand[index, samples.size :] = samples[-1]
         self._limit = np.array([spec.initial_cores for spec in specs], dtype=np.int64)
-        self._min_cores = np.array([spec.min_cores for spec in specs], dtype=np.int64)
         self._max_cores = np.array([spec.max_cores for spec in specs], dtype=np.int64)
         self._slack = np.zeros(count)
         self._insufficient = np.zeros(count)
@@ -190,8 +182,8 @@ class ClusterEngine:
         )
         # The configs differ only in guardrails (c_min, max_cores): the
         # window length and curve parameters are shared by every tenant.
-        self._shared = configs[0]
-        self._params = LaneParams.from_configs(configs)
+        self._shared = self._configs[0]
+        self._params = LaneParams.from_configs(self._configs)
         self._ring = np.zeros((count, self._shared.window_minutes))
         self._observed = np.zeros(count, dtype=np.int64)
 
@@ -460,7 +452,7 @@ class ClusterEngine:
         if bad.size:
             state = self.tenants[int(served[bad[0]])]
             validate_usage_sample(
-                float(values[bad[0]]), context=f"{state.recommender.name} observe"
+                float(values[bad[0]]), context=f"{state.spec.name} observe"
             )
         self._slack += np.where(serving, np.maximum(limit - usage, 0.0), 0.0)
         # A pending pod reserves nothing and serves nothing.
@@ -470,7 +462,7 @@ class ClusterEngine:
         self._ring[served, self._observed[served] % self._ring.shape[1]] = values
         self._observed[served] += 1
         if self.observer is not None:
-            self._feed_recommenders(minute, raw, usage, self.observer)
+            self._sample_cluster(minute, raw, usage, self.observer)
         return throttled_now
 
     def _contend(
@@ -538,28 +530,21 @@ class ClusterEngine:
                 )
         return throttled_now
 
-    def _feed_recommenders(
+    def _sample_cluster(
         self,
         minute: int,
         raw: np.ndarray,
         usage: np.ndarray,
         observer: Observer,
     ) -> None:
-        """Observed runs: every serving tenant's recommender observes its
-        delivered usage, and the cluster totals are sampled."""
+        """Observed runs: sample the cluster totals, summed in tenant order."""
         cluster_demand = cluster_usage = cluster_limit = 0.0
         for value in raw.tolist():
             cluster_demand += value
-        for state, serving, used, limit in zip(
-            self.tenants,
-            self._serving.tolist(),
-            usage.tolist(),
-            self._limit.tolist(),
-        ):
-            if serving:
-                state.recommender.observe(minute, used, limit)
-                cluster_usage += used
-                cluster_limit += limit
+        for value in usage[self._serving].tolist():
+            cluster_usage += value
+        for limit in self._limit[self._serving].tolist():
+            cluster_limit += limit
         observer.sample(minute, cluster_demand, cluster_usage, cluster_limit)
 
     def _decide(self, minute: int, interval: int) -> None:
@@ -568,34 +553,13 @@ class ClusterEngine:
         )
         if not due.size:
             return
-        if self.observer is None:
-            raw_targets = self._decide_vector(due)
-        else:
-            raw_targets = np.array(
-                [
-                    int(self.tenants[index].recommender.recommend(minute, limit))
-                    for index, limit in zip(
-                        due.tolist(), self._limit[due].tolist()
-                    )
-                ],
-                dtype=np.int64,
-            )
-        targets = np.clip(raw_targets, self._min_cores[due], self._max_cores[due])
+        targets = self._decide_vector(due)
         for position in np.flatnonzero(targets != self._limit[due]).tolist():
             index = int(due[position])
             state = self.tenants[index]
             target = int(targets[position])
             if self.observer is not None:
-                self.observer.emit(
-                    DecisionEvent.from_derivation(
-                        minute=minute,
-                        recommender=state.recommender.name,
-                        current_cores=int(self._limit[index]),
-                        raw_target_cores=int(raw_targets[position]),
-                        target_cores=target,
-                        derivation=state.recommender.last_decision,
-                    )
-                )
+                self._emit_decision(self.observer, minute, index, target)
             state.inflight = (
                 minute,
                 target,
@@ -603,15 +567,43 @@ class ClusterEngine:
             )
             self._rolling[index] = True
 
+    def _emit_decision(
+        self, observer: Observer, minute: int, index: int, target: int
+    ) -> None:
+        """Observed runs: one allocation change's event. Its trail is
+        replayed by the scalar policy on the ring window; ``target`` is
+        the kernel's."""
+        current = int(self._limit[index])
+        size = min(int(self._observed[index]), self._ring.shape[1])
+        window = self._windows(np.array([index]), size)[0]
+        derivation = ReactivePolicy(self._configs[index]).decide(
+            current, CpuTrace(window), truncate_window=False
+        )
+        observer.emit(
+            DecisionEvent.from_derivation(
+                minute=minute,
+                recommender="caasper",
+                current_cores=current,
+                raw_target_cores=target,
+                target_cores=target,
+                derivation=derivation,
+            )
+        )
+
+    def _windows(self, rows: np.ndarray, size: int) -> np.ndarray:
+        """The last ``size`` observed samples of each row, oldest first."""
+        width = self._ring.shape[1]
+        columns = (self._observed[rows, None] - size + np.arange(size)) % width
+        return self._ring[rows[:, None], columns]
+
     def _decide_vector(self, due: np.ndarray) -> np.ndarray:
         """One batched Algorithm 1 decision per due tenant.
 
-        Byte-identical to consulting each recommender in turn: lanes
-        sharing curve geometry (core ceiling, history length) decide as
-        one :func:`~repro.engine.batch.decide_cohort` over windows
-        gathered from the usage ring, and a tenant with no observed
-        history yet holds its allocation (at least ``c_min``), as
-        ``recommend`` does.
+        Byte-identical to one scalar decision each: lanes sharing curve
+        geometry (core ceiling, history length) decide as one
+        :func:`~repro.engine.batch.decide_cohort` over ring windows, a
+        tenant with no observed history yet holds its allocation (at
+        least ``c_min``), and the kernel clamps to ``[c_min, max_cores]``.
         """
         from ..engine.batch import decide_cohort
 
@@ -623,10 +615,8 @@ class ClusterEngine:
         for key in np.unique(keys[sizes > 0]).tolist():
             members = np.flatnonzero(keys == key)
             rows = due[members]
-            size = int(sizes[members[0]])
-            columns = (self._observed[rows, None] - size + np.arange(size)) % width
             targets[members] = decide_cohort(
-                self._ring[rows[:, None], columns],
+                self._windows(rows, int(sizes[members[0]])),
                 limits[members],
                 self._params.gather(rows),
                 int(self._max_cores[rows[0]]),

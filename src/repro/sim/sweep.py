@@ -17,7 +17,7 @@ from ..analysis.tables import format_table
 from ..baselines.base import Recommender
 from ..core.config import CaasperConfig
 from ..core.recommender import CaasperRecommender
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..obs.observer import Observer
 from ..obs.spans import span
 from ..trace import CpuTrace
@@ -226,16 +226,18 @@ def run_sweep(
         Optional :class:`~repro.engine.batch.BatchEngine` stepping every
         engine-eligible trace in one vectorized batch (byte-identical
         results, see ``docs/ENGINE.md``). Only used on the serial
-        in-process path with no ``observer`` — per-minute telemetry and
-        per-trace spans need the scalar loop, and an ``executor`` runs
-        one scalar job per trace instead. Ineligible recommenders fall
-        back per trace.
+        in-process path — an ``executor`` runs one scalar job per trace
+        instead. Ineligible recommenders fall back per trace. Passing
+        an ``observer`` too raises :class:`~repro.errors.ConfigError`:
+        per-minute telemetry and per-trace spans need the scalar loop.
     """
     if not traces:
         raise SimulationError("sweep needs at least one trace")
     names = [trace.name for trace in traces]
     if len(set(names)) != len(names):
         raise SimulationError(f"duplicate trace names in sweep: {names}")
+    if engine is not None and observer is not None:
+        raise ConfigError("run_sweep: engine= and observer= cannot be combined")
     config = config or SweepConfig()
     factory = recommender_factory or default_recommender_factory(config=config)
 
@@ -252,7 +254,7 @@ def run_sweep(
         return sweep_outcome(executor.run(plan).require_success())
 
     results: dict[str, SimulationResult] = {}
-    if engine is not None and observer is None:
+    if engine is not None:
         from ..engine.jobs import engine_job_for
 
         jobs = []

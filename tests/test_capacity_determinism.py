@@ -16,11 +16,20 @@ from repro.capacity import (
     make_capacity_scenario,
     run_capacity,
 )
+from repro.core import CaasperConfig, ReactivePolicy
+from repro.engine import batch
 from repro.obs import Observer
+from repro.trace import CpuTrace
 
 #: Every replay-tested scenario (cluster-day excluded here: its 1k-pod
 #: default belongs to the benchmark; the small ones run in CI tests).
 SCENARIOS = ("hotspot-node", "correlated-surge", "drain-during-resize", "capacity-chaos")
+
+
+def _hour(name):
+    """``name`` at seed 11 for an hour, cluster-day cut to 16 pods."""
+    sizes = {"pods": 16} if name == "cluster-day" else {}
+    return make_capacity_scenario(name, seed=11, minutes=60, **sizes)
 
 
 def test_registry_lists_all_scenarios():
@@ -39,19 +48,37 @@ def test_same_seed_is_byte_identical(name):
 
 @pytest.mark.parametrize("name", (*SCENARIOS, "cluster-day"))
 def test_observer_does_not_perturb_the_run(name):
-    """Attaching observability must never change behaviour.
-
-    An unobserved run decides through the vectorized kernels, an
-    observed one consults each scalar recommender, so this is also the
-    kernel-vs-scalar parity check of the capacity layer.
-    """
-    sizes = {"pods": 16} if name == "cluster-day" else {}
-    plain = run_capacity(make_capacity_scenario(name, seed=11, minutes=60, **sizes))
-    observed = run_capacity(
-        make_capacity_scenario(name, seed=11, minutes=60, **sizes),
-        observer=Observer(),
-    )
+    """Attaching observability must never change behaviour: both runs
+    decide through the kernels, and the observed one only adds events."""
+    plain = run_capacity(_hour(name))
+    observed = run_capacity(_hour(name), observer=Observer())
     assert plain.canonical_json() == observed.canonical_json()
+
+
+@pytest.mark.parametrize("name", (*SCENARIOS, "cluster-day"))
+def test_kernel_cohorts_match_the_scalar_oracle(name, monkeypatch):
+    """Every cohort row's target is the scalar Algorithm 1 decision on
+    the same window, and the ring windows fill to the configured length
+    (the kernel-vs-scalar parity check of the capacity layer)."""
+    decide_cohort = batch.decide_cohort
+    lengths = []
+
+    def checked(window, cur, params, max_cores, slope_scale, quantile):
+        targets = decide_cohort(window, cur, params, max_cores, slope_scale, quantile)
+        for row, current, c_min, target in zip(
+            window, cur.tolist(), params.c_min.tolist(), targets.tolist()
+        ):
+            config = CaasperConfig(c_min=c_min, max_cores=max_cores)
+            oracle = ReactivePolicy(config).decide(
+                current, CpuTrace(row), truncate_window=False
+            )
+            assert target == oracle.target_cores
+            lengths.append(row.size)
+        return targets
+
+    monkeypatch.setattr(batch, "decide_cohort", checked)
+    run_capacity(_hour(name))
+    assert lengths and max(lengths) == CaasperConfig().window_minutes
 
 
 class TestSeedSweep:

@@ -26,6 +26,7 @@ from repro.engine import (
     engine_job_for,
     vectorizable,
 )
+from repro.errors import ConfigError
 from repro.fleet.codec import canonical_json
 from repro.obs import JsonlSink, Observer, RingBufferSink, read_events
 from repro.obs.events import EngineBatchEvent
@@ -264,6 +265,11 @@ class TestIntegrationSeams:
         assert sorted(serial.results) == sorted(vector.results)
         for name in serial.results:
             assert blob(vector.results[name]) == blob(serial.results[name])
+
+    def test_run_sweep_refuses_engine_with_observer(self):
+        traces = [bumpy_trace(120, 40, "observed")]
+        with pytest.raises(ConfigError, match="engine=.*observer="):
+            run_sweep(traces, engine=BatchEngine(), observer=Observer())
 
     def test_random_search_engine_parity(self):
         search = RandomSearch(bumpy_trace(300, 33, "tune"), SimulatorConfig(4))
