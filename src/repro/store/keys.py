@@ -54,7 +54,9 @@ __all__ = [
 #: Version of the simulation semantics the store caches. Bump on any
 #: change that alters what a simulation returns for identical inputs;
 #: every previously written blob becomes unreachable (a later ``gc``
-#: reclaims the bytes).
+#: reclaims the bytes). A change to the blob layout that old readers
+#: reject as corrupt needs no bump: such a blob is a miss, and the slot
+#: heals when the result is rewritten.
 STORE_EPOCH = 1
 
 _SIG = "__sig__"

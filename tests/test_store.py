@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+from hashlib import sha256
 
 import pytest
 
@@ -32,12 +33,24 @@ def store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "cas")
 
 
+def _single_document(blob: bytes) -> bytes:
+    """The same blob in the older layout: one JSON document whose
+    ``payload`` field holds the result next to the header fields."""
+    head, _, payload = blob.partition(b"\n")
+    document = json.loads(head)
+    document["payload"] = json.loads(payload)
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
 class TestRoundTrip:
     def test_put_get_round_trip(self, store):
         key = _key("a")
         payload = {"metrics": [1.0, 2.5], "name": "fig3"}
         nbytes = store.put(key, "simulate", payload)
-        assert nbytes > 0
+        blob = store._blob_path(key).read_bytes()
+        assert nbytes == len(blob)
+        head, _, body = blob.partition(b"\n")
+        assert json.loads(head)["checksum"] == sha256(body).hexdigest()
         assert store.get(key, "simulate") == payload
 
     def test_absent_key_is_a_miss(self, store):
@@ -88,17 +101,19 @@ class TestCorruption:
     @pytest.mark.parametrize(
         "damage",
         [
-            b"",  # truncated to nothing
-            b"{\"checksum\": \"nope",  # torn JSON
-            b"not json at all \xff\xfe",  # binary garbage
+            lambda blob: b"",  # truncated to nothing
+            lambda blob: b"{\"checksum\": \"nope",  # torn JSON
+            lambda blob: b"not json at all \xff\xfe",  # binary garbage
+            lambda blob: blob[:-2],  # intact header, payload cut short
+            _single_document,  # older layout: checksum covers an empty body
         ],
-        ids=["empty", "torn", "garbage"],
+        ids=["empty", "torn", "garbage", "short-payload", "single-document"],
     )
     def test_damaged_blob_is_a_miss(self, store, damage):
         key = _key("a")
         store.put(key, "simulate", {"x": 1})
         store._memory.clear()
-        self._poison(store, key, damage)
+        self._poison(store, key, damage(store._blob_path(key).read_bytes()))
         assert store.get(key, "simulate") is None
         assert store.stats.misses == 1
         # The damaged file was unlinked so the slot heals on rewrite.
@@ -109,9 +124,9 @@ class TestCorruption:
         store.put(key, "simulate", {"x": 1})
         store._memory.clear()
         path = store._blob_path(key)
-        blob = json.loads(path.read_text())
-        blob["payload"] = {"x": 2}  # tampered payload, stale checksum
-        path.write_text(json.dumps(blob))
+        blob = path.read_bytes()
+        assert blob.endswith(b'{"x":1}')
+        path.write_bytes(blob[:-2] + b"2}")  # tampered payload, stale checksum
         assert store.get(key, "simulate") is None
 
     def test_epoch_mismatch_is_a_miss(self, store):
@@ -119,9 +134,11 @@ class TestCorruption:
         store.put(key, "simulate", {"x": 1})
         store._memory.clear()
         path = store._blob_path(key)
-        blob = json.loads(path.read_text())
-        blob["epoch"] = STORE_EPOCH + 1
-        path.write_text(json.dumps(blob, sort_keys=True, separators=(",", ":")))
+        head, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["epoch"] = STORE_EPOCH + 1
+        rewritten = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path.write_bytes(rewritten.encode() + b"\n" + payload)
         assert store.get(key, "simulate") is None
 
     def test_recompute_after_corruption_heals(self, store):
