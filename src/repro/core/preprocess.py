@@ -2,8 +2,6 @@
 
 Before the PvP-curve is estimated, the raw observation window is cleaned:
 
-- sub-minute jitter is optionally smoothed with a short moving average so
-  one-sample blips do not register as throttling mass;
 - exact zeros from collection gaps are kept (they are real idle minutes);
 - the window is optionally truncated to the configured reactive length.
 
@@ -22,7 +20,6 @@ __all__ = ["preprocess_window"]
 def preprocess_window(
     trace: CpuTrace,
     window_minutes: int | None = None,
-    smoothing_minutes: int = 1,
 ) -> CpuTrace:
     """Clean an observation window for PvP estimation.
 
@@ -32,8 +29,6 @@ def preprocess_window(
         The raw usage window (most recent samples last).
     window_minutes:
         If given, keep only the trailing ``window_minutes`` samples.
-    smoothing_minutes:
-        Width of the centered moving-average smoother; 1 disables it.
     """
     if window_minutes is not None:
         if window_minutes <= 0:
@@ -42,6 +37,4 @@ def preprocess_window(
             )
         if trace.minutes > window_minutes:
             trace = trace.window(-window_minutes)
-    if smoothing_minutes > 1:
-        trace = trace.smoothed(smoothing_minutes)
     return trace

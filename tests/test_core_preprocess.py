@@ -1,6 +1,5 @@
 """Tests for the Algorithm 1 window preprocessing step."""
 
-import numpy as np
 import pytest
 
 from repro.core.preprocess import preprocess_window
@@ -22,17 +21,6 @@ class TestPreprocess:
     def test_no_window_is_identity(self):
         trace = CpuTrace.from_values(range(10))
         assert preprocess_window(trace).minutes == 10
-
-    def test_smoothing_reduces_variance(self):
-        trace = CpuTrace.from_values([0.0, 10.0] * 30)
-        smooth = preprocess_window(trace, smoothing_minutes=4)
-        assert smooth.std() < trace.std()
-        assert smooth.minutes == trace.minutes
-
-    def test_smoothing_one_is_identity(self):
-        trace = CpuTrace.from_values([1.0, 5.0])
-        result = preprocess_window(trace, smoothing_minutes=1)
-        np.testing.assert_array_equal(result.samples, trace.samples)
 
     def test_rejects_bad_window(self):
         with pytest.raises(ConfigError):
