@@ -3,8 +3,9 @@
 A discrete-minute model of the pieces the paper's autoscaling loop runs
 on: nodes with allocatable CPU, pods with ``requests``/``limits``
 enforced cgroup-style, a bin-packing scheduler, stateful sets updated by
-a rolling-update operator (primary last, §3.1), a metrics server, and the
-scaler + control loop of Figure 1.
+a rolling-update operator (primary last, §3.1), and the scaler +
+control loop of Figure 1 (whose metrics server is the observer's
+registry).
 
 The model is deliberately faithful where the autoscaler can tell the
 difference (capping, resize latency, restart ordering, failovers) and
@@ -15,7 +16,6 @@ from .cluster import Cluster
 from .controller import ControlLoop, ControlLoopConfig
 from .events import Event, EventKind, EventLog
 from .cgroup import enforce_cpu
-from .metrics import MetricsServer
 from .node import Node
 from .operator_ import DbOperator, RollingUpdate
 from .pod import Container, Pod, PodPhase
@@ -33,7 +33,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "enforce_cpu",
-    "MetricsServer",
     "Node",
     "DbOperator",
     "RollingUpdate",

@@ -6,6 +6,10 @@ Wires the numbered components together for one managed database:
   → recommender (3) → decision (4) → scaler (5) → enactment (6)
 
 One :meth:`ControlLoop.step` call advances everything by one minute.
+The loop keeps no sample store of its own: the recommender holds the
+window it decides on, and an attached observer's metrics registry is
+the metrics server of step (2) — it exposes the latest usage and
+allocation per target to scrapers.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from ..db.service import DBaaSService, ServiceMinute
 from ..errors import ConfigError
 from ..obs.events import DecisionEvent
 from ..obs.observer import Observer
+from ..trace import validate_usage_sample
 from .events import EventLog
-from .metrics import MetricsServer
 from .scaler import Scaler, ScalerConfig
 
 __all__ = ["ControlLoop", "ControlLoopConfig"]
@@ -53,7 +57,6 @@ class ControlLoop:
         service: DBaaSService,
         recommender: Recommender,
         config: ControlLoopConfig,
-        metrics: MetricsServer | None = None,
         events: EventLog | None = None,
         observer: Observer | None = None,
     ) -> None:
@@ -61,7 +64,6 @@ class ControlLoop:
         self.recommender = recommender
         self.config = config
         self.observer = observer
-        self.metrics = metrics or MetricsServer(observer=observer)
         self.events = events if events is not None else service.events
         self.scaler = Scaler(
             service.operator, service.scheduler, config.scaler, observer=observer
@@ -79,12 +81,7 @@ class ControlLoop:
         outcome = self.service.step(minute, demand_cores)
 
         # (1)→(2): the controller publishes primary usage + allocation.
-        self.metrics.publish(
-            self._target_name,
-            minute,
-            outcome.primary_usage_cores,
-            outcome.client_limit_cores,
-        )
+        self._publish(outcome.primary_usage_cores, outcome.client_limit_cores)
         # (2)→(3): the recommender reads the fresh sample.
         self.recommender.observe(
             minute,
@@ -108,6 +105,37 @@ class ControlLoop:
         if observer is not None:
             observer.step_seconds(time.perf_counter() - step_start)
         return outcome
+
+    def _publish(self, usage_cores: float, limit_cores: float) -> None:
+        """Validate one sample and expose it on the observer's registry.
+
+        NaN, infinite or negative usage raises
+        :class:`~repro.errors.TraceError` instead of silently poisoning
+        the recommender's window. (The resilient loop pre-validates and
+        routes corrupt samples to safe-mode before they get here.)
+        """
+        target = self._target_name
+        usage_cores = validate_usage_sample(
+            usage_cores, context=f"metrics server target {target!r}"
+        )
+        if self.observer is None:
+            return
+        registry = self.observer.metrics
+        registry.gauge(
+            "metrics_server_usage_cores",
+            "Latest published CPU usage per target",
+            labelnames=("target",),
+        ).set(usage_cores, target=target)
+        registry.gauge(
+            "metrics_server_limit_cores",
+            "Latest published CPU limit per target",
+            labelnames=("target",),
+        ).set(limit_cores, target=target)
+        registry.counter(
+            "metrics_server_samples_total",
+            "Samples published to the metrics server",
+            labelnames=("target",),
+        ).inc(target=target)
 
     def _is_decision_minute(self, minute: int) -> bool:
         """True when the recommender is consulted this minute."""

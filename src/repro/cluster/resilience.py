@@ -47,7 +47,6 @@ from ..obs.events import QuarantineEvent, RetryEvent, RollbackEvent, SafeModeEve
 from ..obs.observer import Observer
 from .controller import ControlLoop, ControlLoopConfig
 from .events import EventLog
-from .metrics import MetricsServer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injection import FaultInjector
@@ -219,19 +218,13 @@ class ResilientControlLoop(ControlLoop):
         service: DBaaSService,
         recommender: Recommender,
         config: ControlLoopConfig,
-        metrics: MetricsServer | None = None,
         events: EventLog | None = None,
         observer: Observer | None = None,
         resilience: ResilienceConfig | None = None,
         faults: "FaultInjector | None" = None,
     ) -> None:
         super().__init__(
-            service,
-            recommender,
-            config,
-            metrics=metrics,
-            events=events,
-            observer=observer,
+            service, recommender, config, events=events, observer=observer
         )
         self.resilience = resilience or ResilienceConfig()
         self.faults = faults
@@ -281,9 +274,7 @@ class ResilientControlLoop(ControlLoop):
         )
         if healthy:
             self._exit_safe_mode(minute)
-            self.metrics.publish(
-                self._target_name, minute, usage, outcome.client_limit_cores
-            )
+            self._publish(usage, outcome.client_limit_cores)
             self.recommender.observe(
                 minute, usage, int(round(outcome.client_limit_cores))
             )
