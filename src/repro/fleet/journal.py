@@ -108,10 +108,12 @@ class FleetJournal:
         return records
 
     def _open(self, existing: list[dict[str, Any]]) -> None:
-        """(Re)write header + restored records, leave handle in append mode."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._write_line(
+        """Rewrite header + restored records, leave handle in append mode.
+
+        The rewrite lands via temp file + fsync + ``os.replace``, so a
+        kill during a resume leaves the prior journal intact.
+        """
+        lines = [
             {
                 "kind": "plan",
                 "name": self.plan.name,
@@ -119,13 +121,20 @@ class FleetJournal:
                 "seed": self.plan.seed,
                 "jobs": len(self.plan),
             }
-        )
+        ]
         for line in existing:
             record = self._record_from_line(line)
-            if record.job_id in self._completed:
-                continue
-            self._completed[record.job_id] = record
-            self._write_line(line)
+            if record.job_id not in self._completed:
+                self._completed[record.job_id] = record
+                lines.append(line)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as handle:
+            handle.writelines(_dumps(line) for line in lines)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self.path)
+        self._handle = self.path.open("a", encoding="utf-8")
 
     def _record_from_line(self, line: dict[str, Any]) -> JobRecord:
         status = line["status"]
@@ -154,9 +163,7 @@ class FleetJournal:
     def _write_line(self, payload: dict[str, Any]) -> None:
         if self._handle is None:
             raise FleetError(f"journal {self.path} is closed")
-        self._handle.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._handle.write(_dumps(payload))
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
@@ -197,3 +204,8 @@ class FleetJournal:
                 "payload": payload,
             }
         )
+
+
+def _dumps(payload: dict[str, Any]) -> str:
+    """One canonical journal line, newline included."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

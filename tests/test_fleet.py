@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -315,6 +316,30 @@ class TestJournal:
             workers=1, journal_path=path, resume=True
         ).run(plan)
         assert outcome.ok_count == 2
+
+    def test_resume_killed_mid_rewrite_keeps_prior_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "run.jsonl"
+        plan = probe_plan("ok", "ok", "ok")
+        FleetRunner(workers=1, journal_path=path).run(plan)
+
+        class Killed(BaseException):
+            pass
+
+        def killed(fd):
+            raise Killed
+
+        # A kill at the rewrite's first durability point must not cost
+        # the checkpoints the journal already held.
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", killed)
+            with pytest.raises(Killed):
+                FleetJournal(path, plan, resume=True)
+        resumed = FleetRunner(
+            workers=1, journal_path=path, resume=True
+        ).run(plan)
+        assert resumed.resumed_count == 3
 
     def test_journal_lines_are_json(self, tmp_path):
         path = tmp_path / "run.jsonl"
