@@ -154,14 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="memoise per-trace results in this result store "
         "(warm re-runs short-circuit; see `caasper store`)",
     )
-    sweep_parser.add_argument(
-        "--engine",
-        choices=("scalar", "vector"),
-        default="scalar",
-        help="simulation engine: 'scalar' loops each trace through the "
-        "reference simulator; 'vector' batches all traces through the "
-        "SoA kernels (byte-identical results, see docs/ENGINE.md)",
-    )
 
     obs_parser = sub.add_parser(
         "obs",
@@ -1598,6 +1590,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "sweep":
         from .core.config import CaasperConfig
+        from .engine import BatchEngine
         from .sim.sweep import (
             SweepConfig,
             default_recommender_factory,
@@ -1617,17 +1610,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .store import ResultStore
 
             store = ResultStore(args.store_dir)
-        engine = None
-        if args.engine == "vector":
-            from .engine import BatchEngine
-
-            engine = BatchEngine()
+        # Engine-ineligible traces fall back to the scalar loop per trace;
+        # results are byte-identical either way (docs/ENGINE.md).
         outcome = run_sweep(
             traces,
             sweep_config,
             default_recommender_factory(base, sweep_config),
             store=store,
-            engine=engine,
+            engine=BatchEngine(),
         )
         print(outcome.table())
         aggregate = outcome.aggregate()
