@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..core.config import CaasperConfig
-from ..core.recommender import CaasperRecommender
+from ..core.recommender import _HISTORY_PERIODS, CaasperRecommender
 from ..errors import SimulationError
 from ..obs.events import EngineBatchEvent
 from ..sim.metrics import SimulationMetrics
@@ -57,11 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store.cas import ResultStore
 
 __all__ = ["BatchEngine", "decide_cohort", "vectorizable"]
-
-#: How many seasonal periods of history a proactive lane retains
-#: (mirrors ``repro.core.recommender._HISTORY_PERIODS``).
-_HISTORY_PERIODS = 3
-
 
 def vectorizable(config: CaasperConfig) -> bool:
     """True when the kernels can express this configuration directly.
