@@ -162,7 +162,7 @@ def _capacity_run(name: str) -> Callable[[], str]:
 
 
 LIVE_START = 90  # the light → heavy step of the workday falls mid-run
-LIVE_MINUTES = 180
+LIVE_MINUTES = 360  # long enough for every chaos scenario to move K/C/N
 
 
 def _live_run(scenario: str | None) -> Callable[[], str]:
@@ -246,6 +246,18 @@ def test_outputs_match_corpus(name):
 
 def test_corpus_lists_every_run():
     assert sorted(_load_corpus()) == sorted(RUNS)
+
+
+def test_live_entries_are_pairwise_distinct():
+    # A chaos entry that digests like the fault-free run could not tell a
+    # change to the hardened path's outcomes from none.
+    live = {
+        name: value
+        for name, value in _load_corpus().items()
+        if name.startswith("live-")
+    }
+    assert len(live) == 1 + len(scenario_names())
+    assert len(set(live.values())) == len(live)
 
 
 def test_uncertified_batch_matches_certified_digest():
