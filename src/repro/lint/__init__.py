@@ -39,7 +39,6 @@ Reviewed synchronous edges under async code are declared with
 docs/STATIC_ANALYSIS.md).
 """
 
-from .cache import LintCache, ruleset_signature
 from .callgraph import (
     CallGraph,
     FunctionNode,
@@ -64,7 +63,6 @@ __all__ = [
     "ClassInfo",
     "Finding",
     "FunctionNode",
-    "LintCache",
     "LintEngine",
     "LintReport",
     "MethodInfo",
@@ -89,5 +87,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "rule_codes",
-    "ruleset_signature",
 ]

@@ -37,11 +37,6 @@ class Rule(ABC):
     domains:
         Dotted module prefixes the rule applies to. Empty means every
         linted module.
-    project_scope:
-        True for rules whose findings depend on *other* modules (they
-        accumulate state and report in :meth:`finish_project`). The
-        incremental cache never memoises these — a change anywhere in
-        the project can change their output for an unchanged module.
     """
 
     code: str = ""
@@ -49,7 +44,6 @@ class Rule(ABC):
     severity: Severity = Severity.ERROR
     node_types: tuple[Type[ast.AST], ...] = ()
     domains: tuple[str, ...] = ()
-    project_scope: bool = False
 
     def applies_to(self, module: ModuleContext) -> bool:
         """Whether this rule runs on ``module`` (domain scoping)."""

@@ -33,11 +33,6 @@ def render_text(report: LintReport) -> str:
         summary += f", {report.suppressed} suppressed"
     if report.parse_errors:
         summary += f", {len(report.parse_errors)} unparseable"
-    if report.cache_lookups:
-        summary += (
-            f", cache {report.cache_hits}/{report.cache_lookups} hits "
-            f"({report.cache_hit_rate:.0%})"
-        )
     lines.append(summary)
     return "\n".join(lines)
 

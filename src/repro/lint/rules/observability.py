@@ -49,7 +49,6 @@ class DeclaredEventsRule(Rule):
     title = "emit() of an event type not declared in repro.obs.events"
     severity = Severity.ERROR
     node_types = (ast.Call,)
-    project_scope = True
 
     def __init__(self) -> None:
         #: ``(event class name, module path, node)`` per emit call site.
@@ -145,7 +144,6 @@ class RegisteredNamesRule(Rule):
     title = "span/trace name not registered in repro.obs.names"
     severity = Severity.ERROR
     node_types = (ast.Call,)
-    project_scope = True
 
     def __init__(self) -> None:
         #: ``(category, name, is_prefix_only, module path, node)`` per site.

@@ -56,7 +56,6 @@ class RecommenderProtocolRule(Rule):
     code = "API001"
     title = "Recommender subclass breaks the observe/recommend protocol"
     severity = Severity.ERROR
-    project_scope = True
 
     def finish_project(self, project: ProjectIndex) -> Iterable[Finding]:
         subclasses = project.subclasses_of("Recommender")

@@ -84,7 +84,6 @@ class TransitiveWallClockRule(Rule):
     )
     severity = Severity.ERROR
     node_types = ()
-    project_scope = True
 
     def finish_project(self, project: ProjectIndex) -> Iterable[Finding]:
         graph = call_graph_for(project)
@@ -132,7 +131,6 @@ class AsyncBlockingRule(Rule):
     title = "async def in repro.serve transitively reaches a blocking call"
     severity = Severity.ERROR
     node_types = ()
-    project_scope = True
 
     def finish_project(self, project: ProjectIndex) -> Iterable[Finding]:
         graph = call_graph_for(project)
@@ -201,7 +199,6 @@ class SwallowedDomainErrorRule(Rule):
     title = "broad except can transitively swallow FaultError/ServeError"
     severity = Severity.WARNING
     node_types = ()
-    project_scope = True
 
     def finish_project(self, project: ProjectIndex) -> Iterable[Finding]:
         graph = call_graph_for(project)
