@@ -50,7 +50,7 @@ def _config(variant: str) -> CaasperConfig:
 
 def _run(variant: str, sigma: float):
     demand = cyclical_days(sigma=sigma, seed=21)
-    recommender = CaasperRecommender(_config(variant), keep_decisions=False)
+    recommender = CaasperRecommender(_config(variant))
     recommender.name = f"{variant}@sigma={sigma}"
     return simulate_trace(
         demand,

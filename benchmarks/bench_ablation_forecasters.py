@@ -53,7 +53,7 @@ def _autoscale(name: str, demand):
     )
     return simulate_trace(
         demand,
-        CaasperRecommender(config, keep_decisions=False),
+        CaasperRecommender(config),
         SimulatorConfig(
             initial_cores=14,
             min_cores=2,

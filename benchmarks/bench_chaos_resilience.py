@@ -39,9 +39,7 @@ def _config() -> LiveSystemConfig:
 
 def _run(faults=None):
     workload = TraceWorkload(cyclical_days(days=1, name="chaos-day"))
-    recommender = CaasperRecommender(
-        CaasperConfig(max_cores=7, c_min=2), keep_decisions=False
-    )
+    recommender = CaasperRecommender(CaasperConfig(max_cores=7, c_min=2))
     return simulate_live(workload, recommender, _config(), faults=faults)
 
 

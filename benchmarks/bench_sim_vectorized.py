@@ -75,9 +75,7 @@ def test_sim_vectorized(once):
         # is the honest baseline: the wall clock a sweep pays today.
         start = time.perf_counter()
         scalar_results = [
-            simulate_trace(
-                trace, CaasperRecommender(config, keep_decisions=False), sim
-            )
+            simulate_trace(trace, CaasperRecommender(config), sim)
             for trace in traces
         ]
         walls["scalar_batch"] = time.perf_counter() - start
@@ -92,9 +90,7 @@ def test_sim_vectorized(once):
         # Single-trace comparison on lane 0.
         walls["scalar_single"], _ = _best_of(
             SINGLE_REPEATS,
-            lambda: simulate_trace(
-                traces[0], CaasperRecommender(config, keep_decisions=False), sim
-            ),
+            lambda: simulate_trace(traces[0], CaasperRecommender(config), sim),
         )
         walls["vector_single"], _ = _best_of(
             SINGLE_REPEATS, lambda: engine.run(jobs[:1])

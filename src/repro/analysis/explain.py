@@ -12,11 +12,9 @@ source as a human-readable audit log — the slope, skew, scaling factor,
 branch and reason behind each resize — and summarizes which branches
 drove the run.
 
-Preferred input is the recorded observability trail (ring buffer or
-JSONL trace): it carries the decision *as enacted* — minute, guardrail
-clamps and all — without re-running anything. The in-process
-``recommender.decisions`` derivation trail remains the offline fallback
-for un-instrumented runs.
+Input is the recorded observability trail (ring buffer or JSONL
+trace): it carries the decision *as enacted* — minute, guardrail clamps
+and all — without re-running anything.
 """
 
 from __future__ import annotations
@@ -166,39 +164,32 @@ def explain_trace(
 
 def explain_decisions(
     recommender: CaasperRecommender,
+    observer: Observer,
     only_scaling: bool = True,
     limit: int | None = 40,
-    observer: Observer | None = None,
 ) -> str:
-    """Full R6 report for one recommender's decision trail.
+    """Full R6 report for one recommender's recorded decision events.
 
-    When ``observer`` recorded decision events for this recommender,
-    those are rendered (they carry the decision as enacted — minute and
-    guardrail clamps included); otherwise falls back to the
-    recommender's retained in-process derivations.
+    Renders the :class:`~repro.obs.events.DecisionEvent` entries
+    ``observer`` recorded for ``recommender`` (matched by name): each
+    carries the decision as enacted, minute and guardrail clamps
+    included.
 
     Raises
     ------
     SimulationError
-        When neither source holds any decisions (recommender constructed
-        with ``keep_decisions=False`` and no observer attached, or never
+        When the observer holds no decision events for this recommender
+        (it was not attached to the run, or the recommender was never
         consulted).
     """
-    if observer is not None:
-        recorded = [
-            event
-            for event in observer.decisions()
-            if event.recommender == recommender.name
-        ]
-        if recorded:
-            return _render_report(
-                recommender.name, recorded, only_scaling, limit
-            )
-    decisions = recommender.decisions
-    if not decisions:
+    recorded = [
+        event
+        for event in observer.decisions()
+        if event.recommender == recommender.name
+    ]
+    if not recorded:
         raise SimulationError(
-            f"{recommender.name}: no retained decisions — construct with "
-            "keep_decisions=True or attach an observer, and run at least "
-            "one recommendation"
+            f"{recommender.name}: the observer recorded no decisions — "
+            "attach it to the run and make at least one recommendation"
         )
-    return _render_report(recommender.name, decisions, only_scaling, limit)
+    return _render_report(recommender.name, recorded, only_scaling, limit)

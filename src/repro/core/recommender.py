@@ -9,8 +9,9 @@ like they drive every baseline:
 - at each decision point builds the Algorithm 1 input window — reactive,
   or Eq. 4 combined when proactive mode is enabled and ready,
 - runs :class:`~repro.core.reactive.ReactivePolicy`,
-- records the fully-derived :class:`~repro.core.reactive.ReactiveDecision`
-  trail for interpretability (R6).
+- keeps the fully-derived :class:`~repro.core.reactive.ReactiveDecision`
+  of its latest decision; an observer records the whole trail for
+  interpretability (R6).
 """
 
 from __future__ import annotations
@@ -27,11 +28,22 @@ from .config import CaasperConfig
 from .proactive import ProactiveWindowBuilder
 from .reactive import ReactiveDecision, ReactivePolicy
 
-__all__ = ["CaasperRecommender"]
+__all__ = ["CaasperRecommender", "history_capacity"]
 
 #: How many seasonal periods of history the recommender retains; the naïve
 #: forecaster needs one, Holt-Winters needs two, so two plus slack.
 _HISTORY_PERIODS = 3
+
+
+def history_capacity(config: CaasperConfig) -> int:
+    """Minutes of usage history a configuration can use (its deque bound)."""
+    if not config.proactive:
+        return config.window_minutes
+    period = config.seasonal_period_minutes
+    if period is None:
+        # Auto-detection needs enough signal; keep a week of minutes.
+        return 7 * 24 * 60
+    return max(_HISTORY_PERIODS * period, config.window_minutes)
 
 
 class CaasperRecommender(Recommender):
@@ -45,9 +57,6 @@ class CaasperRecommender(Recommender):
     forecaster:
         Optional custom forecaster instance (otherwise resolved from
         ``config.forecaster`` via the registry).
-    keep_decisions:
-        Retain the full derivation of every decision in
-        :attr:`decisions`. Disable for large tuning sweeps.
     """
 
     name = "caasper"
@@ -56,32 +65,17 @@ class CaasperRecommender(Recommender):
         self,
         config: CaasperConfig | None = None,
         forecaster: Forecaster | None = None,
-        keep_decisions: bool = True,
     ) -> None:
         self.config = config or CaasperConfig()
         self.policy = ReactivePolicy(self.config)
         self._custom_forecaster = forecaster is not None
         self._window_builder = ProactiveWindowBuilder(self.config, forecaster)
-        self._keep_decisions = keep_decisions
-        self.decisions: list[ReactiveDecision] = []
         self._last_decision: ReactiveDecision | None = None
-
-        history_cap = self._history_capacity()
-        self._usage: deque[float] = deque(maxlen=history_cap)
+        self._usage: deque[float] = deque(maxlen=history_capacity(self.config))
         self._first_minute: int | None = None
         self._last_minute: int | None = None
         if self.config.proactive:
             self.name = "caasper-proactive"
-
-    def _history_capacity(self) -> int:
-        """Bound history retention to what the configuration can use."""
-        period = self.config.seasonal_period_minutes
-        if not self.config.proactive:
-            return self.config.window_minutes
-        if period is None:
-            # Auto-detection needs enough signal; keep a week of minutes.
-            return 7 * 24 * 60
-        return max(_HISTORY_PERIODS * period, self.config.window_minutes)
 
     # -- Recommender interface ---------------------------------------------------
 
@@ -113,7 +107,6 @@ class CaasperRecommender(Recommender):
         self._usage.clear()
         self._first_minute = None
         self._last_minute = None
-        self.decisions.clear()
         self._last_decision = None
 
     def store_payload(self) -> dict[str, object] | None:
@@ -160,8 +153,6 @@ class CaasperRecommender(Recommender):
             current_cores, combined.window, truncate_window=False
         )
         self._last_decision = decision
-        if self._keep_decisions:
-            self.decisions.append(decision)
         return decision
 
     def window_stats(self) -> dict[str, float] | None:
@@ -178,7 +169,7 @@ class CaasperRecommender(Recommender):
 
     @property
     def last_decision(self) -> ReactiveDecision | None:
-        """Most recent decision (kept even with ``keep_decisions=False``)."""
+        """Most recent decision, or ``None`` before the first."""
         return self._last_decision
 
     @property

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..core.config import CaasperConfig
-from ..core.recommender import _HISTORY_PERIODS, CaasperRecommender
+from ..core.recommender import CaasperRecommender, history_capacity
 from ..errors import SimulationError
 from ..obs.events import EngineBatchEvent
 from ..sim.metrics import SimulationMetrics
@@ -129,7 +129,7 @@ def _build_cohorts(jobs: Sequence[EngineJob]) -> list[_Cohort]:
                 period=period,
                 horizon=config.forecast_horizon_minutes,
                 history_tail=config.history_tail_minutes,
-                maxlen=max(_HISTORY_PERIODS * period, config.window_minutes),
+                maxlen=history_capacity(config),
                 hidx=(
                     np.arange(config.forecast_horizon_minutes) % period
                     if config.proactive
@@ -241,7 +241,7 @@ class BatchEngine:
             if store is not None:
                 from ..store.keys import simulate_key
 
-                probe = CaasperRecommender(job.config, keep_decisions=False)
+                probe = CaasperRecommender(job.config)
                 key = simulate_key(job.demand, probe, job.simulator)
                 keys[index] = key
                 if key is not None:
@@ -259,7 +259,7 @@ class BatchEngine:
             job = jobs[index]
             results[index] = simulate_trace(
                 job.demand,
-                CaasperRecommender(job.config, keep_decisions=False),
+                CaasperRecommender(job.config),
                 job.simulator,
             )
 
@@ -328,7 +328,7 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
     if config.proactive:
         period = config.seasonal_period_minutes
         assert period is not None  # vectorizable() guarantees it
-        maxlen = max(_HISTORY_PERIODS * period, config.window_minutes)
+        maxlen = history_capacity(config)
         hidx = np.arange(config.forecast_horizon_minutes) % period
 
     limit = int(sim.initial_cores)

@@ -81,7 +81,7 @@ def evaluate_container(
         seasonal_period_minutes=MINUTES_PER_DAY, proactive=proactive
     )
 
-    recommender = CaasperRecommender(tuned, keep_decisions=False)
+    recommender = CaasperRecommender(tuned)
     result = simulate_trace(
         trace, recommender, _simulator_config(max_cores, initial)
     )

@@ -193,7 +193,7 @@ class TrialJob(FleetJob):
         from ..core.recommender import CaasperRecommender
         from ..tuning.search import TrialResult
 
-        recommender = CaasperRecommender(self.config, keep_decisions=False)
+        recommender = CaasperRecommender(self.config)
         result = simulate_trace(self.demand, recommender, self.simulator, observer)
         return TrialResult.from_simulation(self.config, result)
 
@@ -254,9 +254,7 @@ class ChaosJob(FleetJob):
         plan = make_scenario(
             self.scenario, seed=seed, horizon_minutes=workload.minutes
         )
-        recommender = CaasperRecommender(
-            self.recommender_config, keep_decisions=False
-        )
+        recommender = CaasperRecommender(self.recommender_config)
         result = simulate_live(
             workload,
             recommender,

@@ -104,7 +104,6 @@ class TenantRuntime:
                 max_cores=spec.max_cores,
                 proactive=spec.proactive,
             ),
-            keep_decisions=False,
         )
         injector = (
             make_scenario(

@@ -164,7 +164,7 @@ def default_recommender_factory(
         recommender_config = base.with_updates(
             max_cores=max_cores, c_min=min(base.c_min, max_cores)
         )
-        return CaasperRecommender(recommender_config, keep_decisions=False)
+        return CaasperRecommender(recommender_config)
 
     return factory
 

@@ -96,7 +96,7 @@ def cached_trial(
             return hit  # type: ignore[no-any-return]
     else:
         key = None
-    recommender = CaasperRecommender(config, keep_decisions=False)
+    recommender = CaasperRecommender(config)
     result = simulate_trace(demand, recommender, simulator, observer)
     trial = TrialResult.from_simulation(config, result)
     if store is not None and key is not None:

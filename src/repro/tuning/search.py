@@ -257,7 +257,7 @@ class RandomSearch:
             return cached_trial(
                 config, self.demand, self.simulator_config, store=store
             )
-        recommender = CaasperRecommender(config, keep_decisions=False)
+        recommender = CaasperRecommender(config)
         result = simulate_trace(self.demand, recommender, self.simulator_config)
         return TrialResult.from_simulation(config, result)
 

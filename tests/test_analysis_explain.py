@@ -9,6 +9,7 @@ from repro.cluster.scaler import Scaler
 from repro.core import CaasperConfig, CaasperRecommender
 from repro.db import DBaaSService, DbServiceConfig
 from repro.errors import ConfigError, SimulationError
+from repro.obs import Observer
 from repro.sim import SimulatorConfig, simulate_trace
 from repro.trace import CpuTrace
 from repro.workloads import workday
@@ -120,43 +121,51 @@ class TestAvailabilityBudget:
 class TestExplain:
     def run_recommender(self):
         rec = CaasperRecommender(CaasperConfig(max_cores=8, c_min=2))
+        observer = Observer()
         simulate_trace(
             workday(),
             rec,
             SimulatorConfig(initial_cores=6, min_cores=2, max_cores=8),
+            observer=observer,
         )
-        return rec
+        return rec, observer
 
     def test_explain_covers_run(self):
-        rec = self.run_recommender()
-        text = explain_decisions(rec)
+        rec, observer = self.run_recommender()
+        text = explain_decisions(rec, observer)
         assert "decision audit" in text
         assert "scale_up" in text
         assert "->" in text
 
     def test_branch_summary_counts(self):
-        rec = self.run_recommender()
-        counts = branch_summary(rec.decisions)
-        assert sum(counts.values()) == len(rec.decisions)
+        _, observer = self.run_recommender()
+        decisions = observer.decisions()
+        counts = branch_summary(decisions)
+        assert sum(counts.values()) == len(decisions)
         assert counts.get("hold", 0) > 0
 
     def test_decision_log_filters_holds(self):
-        rec = self.run_recommender()
-        full = decision_log(rec.decisions, only_scaling=False)
-        scaling_only = decision_log(rec.decisions, only_scaling=True)
+        _, observer = self.run_recommender()
+        decisions = observer.decisions()
+        full = decision_log(decisions, only_scaling=False)
+        scaling_only = decision_log(decisions, only_scaling=True)
         assert len(scaling_only.splitlines()) < len(full.splitlines())
 
     def test_decision_log_limit(self):
-        rec = self.run_recommender()
-        limited = decision_log(rec.decisions, limit=3)
+        _, observer = self.run_recommender()
+        limited = decision_log(observer.decisions(), limit=3)
         assert len(limited.splitlines()) == 4  # header + 3 entries
 
     def test_empty_trail_raises(self):
-        rec = CaasperRecommender(
-            CaasperConfig(max_cores=8), keep_decisions=False
-        )
+        rec = CaasperRecommender(CaasperConfig(max_cores=8))
         with pytest.raises(SimulationError):
-            explain_decisions(rec)
+            explain_decisions(rec, Observer())
+        # Events recorded for another recommender do not explain this one.
+        _, observer = self.run_recommender()
+        with pytest.raises(SimulationError):
+            explain_decisions(
+                CaasperRecommender(CaasperConfig(proactive=True)), observer
+            )
         with pytest.raises(SimulationError):
             decision_log([])
         with pytest.raises(SimulationError):

@@ -59,9 +59,7 @@ def bumpy_trace(minutes: int, seed: int, name: str) -> CpuTrace:
 
 
 def oracle(trace, config, sim):
-    return simulate_trace(
-        trace, CaasperRecommender(config, keep_decisions=False), sim
-    )
+    return simulate_trace(trace, CaasperRecommender(config), sim)
 
 
 CONFIG = CaasperConfig(max_cores=16)
@@ -162,7 +160,7 @@ class TestCertificationFallbacks:
 class TestEligibility:
     def test_fresh_caasper_recommender_qualifies(self):
         trace = bumpy_trace(60, 6, "fresh")
-        recommender = CaasperRecommender(CONFIG, keep_decisions=False)
+        recommender = CaasperRecommender(CONFIG)
         job = engine_job_for(trace, recommender, SIM)
         assert job is not None
         assert job.config == CONFIG
@@ -179,7 +177,7 @@ class TestEligibility:
 
     def test_observed_history_disqualifies(self):
         trace = bumpy_trace(60, 8, "warm")
-        recommender = CaasperRecommender(CONFIG, keep_decisions=False)
+        recommender = CaasperRecommender(CONFIG)
         recommender.observe(0, 2.0, 4)
         assert engine_job_for(trace, recommender, SIM) is None
 
@@ -189,7 +187,7 @@ class TestStoreInterop:
         store = ResultStore(tmp_path / "store")
         trace = bumpy_trace(240, 9, "interop")
         BatchEngine().run(jobs_for([trace]), store=store)
-        probe = CaasperRecommender(CONFIG, keep_decisions=False)
+        probe = CaasperRecommender(CONFIG)
         key = simulate_key(trace, probe, SIM)
         hit = store.get(key, "simulate")
         assert hit is not None
@@ -203,7 +201,7 @@ class TestStoreInterop:
         traces = [bumpy_trace(240, 10 + s, f"hit{s}") for s in range(3)]
         for trace in traces:
             simulate_trace(
-                trace, CaasperRecommender(CONFIG, keep_decisions=False), SIM,
+                trace, CaasperRecommender(CONFIG), SIM,
                 store=store,
             )
         ring = RingBufferSink(capacity=8)

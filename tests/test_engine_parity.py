@@ -39,9 +39,7 @@ def blob(result) -> bytes:
 
 def oracle(trace, config, sim):
     """The scalar reference run the engine must reproduce exactly."""
-    return simulate_trace(
-        trace, CaasperRecommender(config, keep_decisions=False), sim
-    )
+    return simulate_trace(trace, CaasperRecommender(config), sim)
 
 
 samples_arrays = arrays(

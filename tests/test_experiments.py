@@ -300,9 +300,7 @@ class TestFig14:
             trace = alibaba_trace(container_id)
             # Normalize scale so only the *shape* differs.
             trace = trace.scaled(3.0 / max(trace.mean(), 1e-9))
-            rec = CaasperRecommender(
-                CaasperConfig(max_cores=16, c_min=1), keep_decisions=False
-            )
+            rec = CaasperRecommender(CaasperConfig(max_cores=16, c_min=1))
             result = simulate_trace(
                 trace,
                 rec,

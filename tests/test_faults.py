@@ -58,7 +58,7 @@ def short_workload(minutes=240):
 def fresh_recommender(**kwargs):
     defaults = dict(max_cores=12, c_min=2)
     defaults.update(kwargs)
-    return CaasperRecommender(CaasperConfig(**defaults), keep_decisions=False)
+    return CaasperRecommender(CaasperConfig(**defaults))
 
 
 def chaos_trail(observer):

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis import explain_decisions
 from repro.core import CaasperConfig, CaasperRecommender
 from repro.doppler import ResourceUsageProfile, SkuCatalog, sku_pvp_curve
+from repro.obs import Observer
 from repro.sim import SimulatorConfig, SweepConfig, run_sweep, simulate_trace
 from repro.sim.live import LiveSystemConfig, simulate_live
 from repro.cluster.controller import ControlLoopConfig
@@ -62,6 +63,7 @@ class TestLiveRunToAudit:
         recommender = CaasperRecommender(
             CaasperConfig(max_cores=8, c_min=2, quantile=0.90, m_high=0.05)
         )
+        observer = Observer()
         simulate_live(
             TraceWorkload(workday(sigma=0.08)),
             recommender,
@@ -72,8 +74,9 @@ class TestLiveRunToAudit:
                     scaler=ScalerConfig(min_cores=2, max_cores=8),
                 ),
             ),
+            observer=observer,
         )
-        audit = explain_decisions(recommender)
+        audit = explain_decisions(recommender, observer)
         assert "decision audit" in audit
         # The workday run must contain both directions.
         assert "scale_up" in audit

@@ -60,9 +60,7 @@ def daily_trace(days: int = 1) -> CpuTrace:
 
 def run_instrumented(trace: CpuTrace, **observer_kwargs) -> tuple:
     observer = Observer(**observer_kwargs)
-    recommender = CaasperRecommender(
-        CaasperConfig(max_cores=16), keep_decisions=False
-    )
+    recommender = CaasperRecommender(CaasperConfig(max_cores=16))
     config = SimulatorConfig(initial_cores=4, max_cores=16)
     result = simulate_trace(trace, recommender, config, observer=observer)
     return result, observer, config
@@ -558,12 +556,12 @@ class TestSimulatorIntegration:
         config = SimulatorConfig(initial_cores=4, max_cores=16)
         plain = simulate_trace(
             trace,
-            CaasperRecommender(CaasperConfig(max_cores=16), keep_decisions=False),
+            CaasperRecommender(CaasperConfig(max_cores=16)),
             config,
         )
         observed = simulate_trace(
             trace,
-            CaasperRecommender(CaasperConfig(max_cores=16), keep_decisions=False),
+            CaasperRecommender(CaasperConfig(max_cores=16)),
             config,
             observer=Observer(),
         )
@@ -597,9 +595,7 @@ class TestSimulatorIntegration:
         path = tmp_path / "run.jsonl"
         trace = daily_trace()
         observer = Observer(sinks=[JsonlSink(path)])
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16))
         result = simulate_trace(
             trace,
             recommender,
@@ -639,7 +635,6 @@ class TestProactiveSpans:
                 proactive=True,
                 seasonal_period_minutes=24 * 60,
             ),
-            keep_decisions=False,
         )
         simulate_trace(
             trace,
@@ -685,9 +680,7 @@ class TestExplainFromTrace:
         path = tmp_path / "run.jsonl"
         trace = daily_trace()
         observer = Observer(sinks=[JsonlSink(path)])
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16))
         simulate_trace(
             trace,
             recommender,
@@ -707,17 +700,15 @@ class TestExplainFromTrace:
 
         trace = daily_trace()
         observer = Observer()
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16))
         simulate_trace(
             trace,
             recommender,
             SimulatorConfig(initial_cores=4, max_cores=16),
             observer=observer,
         )
-        # keep_decisions=False leaves no in-process trail, but the
-        # recorded events still explain the run.
+        # The recorded events explain the run; the recommender itself
+        # keeps only its latest derivation.
         report = explain_decisions(recommender, observer=observer)
         assert "decision audit" in report
 

@@ -83,9 +83,7 @@ def run_simulate(observer: Observer, workdir: Path) -> None:
     config = SimulatorConfig(initial_cores=4, max_cores=16)
     simulate_trace(
         trace,
-        CaasperRecommender(
-            CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-        ),
+        CaasperRecommender(CaasperConfig(max_cores=16, c_min=2)),
         config,
         observer=observer,
     )
@@ -103,9 +101,7 @@ def run_chaos(observer: Observer, workdir: Path) -> None:
     workload = TraceWorkload(trace)
     simulate_live(
         workload,
-        CaasperRecommender(
-            CaasperConfig(c_min=2, max_cores=16), keep_decisions=False
-        ),
+        CaasperRecommender(CaasperConfig(c_min=2, max_cores=16)),
         LiveSystemConfig(),
         observer=observer,
         faults=make_scenario(

@@ -226,9 +226,7 @@ def chaos_events(minutes: int = 720, seed: int = 3) -> list:
     plan = make_scenario(
         "kitchen-sink", seed=seed, horizon_minutes=workload.minutes
     )
-    recommender = CaasperRecommender(
-        CaasperConfig(c_min=2, max_cores=16), keep_decisions=False
-    )
+    recommender = CaasperRecommender(CaasperConfig(c_min=2, max_cores=16))
     observer = Observer(ring_capacity=16384)
     simulate_live(
         workload,
@@ -285,9 +283,7 @@ class TestDecisionRecords:
     def test_enactment_latency_matches_resize_delay(self):
         observer = Observer()
         trace = square_wave(total_hours=10.0)
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16, c_min=2))
         config = SimulatorConfig(
             initial_cores=4, max_cores=16, resize_delay_minutes=10
         )
@@ -311,9 +307,7 @@ class TestDecisionRecords:
         trace = noisy(
             CpuTrace.constant(4.0, 300, "steady"), sigma=0.3, seed=5
         )
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16, c_min=2))
         simulate_trace(
             trace,
             recommender,
@@ -420,9 +414,7 @@ class TestReportCli:
         path = tmp_path / "run.jsonl"
         observer = Observer(sinks=(JsonlSink(path),), buffer_events=False)
         trace = square_wave(total_hours=10.0)
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=16, c_min=2))
         simulate_trace(
             trace,
             recommender,

@@ -299,9 +299,7 @@ class TestSafeMode:
             )
         )
         observer = Observer()
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=12, c_min=2), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=12, c_min=2))
         result = simulate_live(
             flat_workload(),
             recommender,
@@ -336,9 +334,7 @@ class TestSafeMode:
                 TelemetryFault(mode="nan", start_minute=20, end_minute=40),
             )
         )
-        recommender = CaasperRecommender(
-            CaasperConfig(max_cores=12, c_min=2), keep_decisions=False
-        )
+        recommender = CaasperRecommender(CaasperConfig(max_cores=12, c_min=2))
         simulate_live(
             flat_workload(minutes=60),
             recommender,
@@ -494,9 +490,7 @@ class TestScalingEventPairing:
         plan = make_scenario("stuck-rollout", seed=1, horizon_minutes=300)
         result = simulate_live(
             flat_workload(minutes=300),
-            CaasperRecommender(
-                CaasperConfig(max_cores=12, c_min=2), keep_decisions=False
-            ),
+            CaasperRecommender(CaasperConfig(max_cores=12, c_min=2)),
             live_config(),
             faults=plan,
         )
@@ -542,9 +536,7 @@ class TestZeroOverheadDefault:
         )
 
         def run(resilience):
-            recommender = CaasperRecommender(
-                CaasperConfig(max_cores=12, c_min=2), keep_decisions=False
-            )
+            recommender = CaasperRecommender(CaasperConfig(max_cores=12, c_min=2))
             cfg = config if resilience is None else LiveSystemConfig(
                 service=config.service,
                 control=config.control,
@@ -577,9 +569,7 @@ class TestKitchenSinkAcceptance:
                     seed=4,
                 )
             ),
-            CaasperRecommender(
-                CaasperConfig(max_cores=12, c_min=2), keep_decisions=False
-            ),
+            CaasperRecommender(CaasperConfig(max_cores=12, c_min=2)),
             live_config(),
             observer=observer,
             faults=plan,

@@ -232,7 +232,7 @@ class TestFieldCoverage:
     @pytest.mark.parametrize("field", _field_names(SimulatorConfig))
     def test_simulator_config_field_changes_simulate_key(self, field):
         trace = _trace()
-        recommender = CaasperRecommender(CaasperConfig(), keep_decisions=False)
+        recommender = CaasperRecommender(CaasperConfig())
         base = SimulatorConfig(initial_cores=4)
         clone = _clone_with(base, field, _perturbed(getattr(base, field)))
         assert simulate_key(trace, recommender, clone) != simulate_key(

@@ -38,7 +38,7 @@ def _trace(name: str = "memo-trace", minutes: int = 240, seed: int = 3) -> CpuTr
 
 
 def _recommender() -> CaasperRecommender:
-    return CaasperRecommender(CaasperConfig(max_cores=16), keep_decisions=False)
+    return CaasperRecommender(CaasperConfig(max_cores=16))
 
 
 def _sim_config() -> SimulatorConfig:
@@ -81,13 +81,11 @@ class TestCachedSimulate:
         uncacheable = CaasperRecommender(
             CaasperConfig(proactive=True, max_cores=16),
             forecaster=make_forecaster("naive"),
-            keep_decisions=False,
         )
         result = cached_simulate(trace, uncacheable, _sim_config(), store=store)
         baseline = CaasperRecommender(
             CaasperConfig(proactive=True, max_cores=16),
             forecaster=make_forecaster("naive"),
-            keep_decisions=False,
         )
         assert _canon(result) == _canon(
             simulate_trace(trace, baseline, _sim_config())

@@ -71,9 +71,7 @@ def traced_run(observer: Observer | None = None):
     """One short square-wave simulation; returns (result, observer)."""
     observer = observer if observer is not None else Observer()
     trace = square_wave(total_hours=10.0)
-    recommender = CaasperRecommender(
-        CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-    )
+    recommender = CaasperRecommender(CaasperConfig(max_cores=16, c_min=2))
     config = SimulatorConfig(initial_cores=4, max_cores=16)
     result = simulate_trace(trace, recommender, config, observer=observer)
     return result, observer
@@ -160,9 +158,7 @@ class TestObserverNeutrality:
         config = SimulatorConfig(initial_cores=4, max_cores=16)
 
         def run(observer):
-            recommender = CaasperRecommender(
-                CaasperConfig(max_cores=16, c_min=2), keep_decisions=False
-            )
+            recommender = CaasperRecommender(CaasperConfig(max_cores=16, c_min=2))
             return simulate_trace(
                 trace, recommender, config, observer=observer
             )
