@@ -207,6 +207,26 @@ def run_serve_headless() -> str:
     return harness.plane.ledger_digest()
 
 
+def run_serve_proactive_past_gate() -> str:
+    # Long enough that the proactive tenants pass their 1440-minute
+    # forecast gate and the component-crash scenario's forecaster and
+    # recommender faults fire against the serve consult path.
+    harness = ServeHarness(
+        8,
+        config=ServeConfig(fsync_journal=False),
+        seed=2,
+        scenario="component-crash",
+        scenario_minutes=2000,
+    )
+    harness.run(1600)
+    return canonical_json(
+        {
+            "ledger_digest": harness.plane.ledger_digest(),
+            "audit": harness.plane.audit(),
+        }
+    )
+
+
 RUNS: dict[str, Callable[[], str]] = {
     "engine-one-reactive-lane": run_one_reactive_lane,
     "engine-one-proactive-lane": run_one_proactive_lane,
@@ -222,6 +242,7 @@ RUNS: dict[str, Callable[[], str]] = {
     "live-plain": _live_run(None),
     **{f"live-chaos-{name}": _live_run(name) for name in scenario_names()},
     "serve-headless": run_serve_headless,
+    "serve-proactive-past-gate": run_serve_proactive_past_gate,
 }
 
 
