@@ -11,8 +11,15 @@ at an accidental O(n²) in admission, supervision or journaling.
 Runs in-process through the deterministic harness with journaling off
 (`state_dir=None`) and a calm scenario — this times the control plane,
 not the fault machinery or fsync.
+
+Each tick is timed on its own and the p50/p90 tick latency is reported
+per fleet size. Decision intervals of 5, 10 and 15 minutes put every
+CaaSPER consult on a multiple of 5, so the p50 tick consults nobody and
+the p90 ticks are the consult ticks.
 """
 
+import math
+import statistics
 import time
 
 from conftest import write_bench_json
@@ -33,14 +40,26 @@ def _config():
 
 
 def _run_fleet(tenants):
+    """A fresh fleet run for ``MINUTES`` ticks; returns it with each tick's
+    wall seconds."""
     harness = ServeHarness(
         tenants,
         config=_config(),
         seed=5,
         crash_rate=0.0,
     )
-    harness.run(MINUTES)
-    return harness
+    ticks = []
+    for _ in range(MINUTES):
+        start = time.perf_counter()
+        harness.run(1)
+        ticks.append(time.perf_counter() - start)
+    return harness, ticks
+
+
+def _tick_ms(ticks, fraction):
+    """Nearest-rank percentile of tick seconds, in milliseconds."""
+    ordered = sorted(ticks)
+    return ordered[max(math.ceil(fraction * len(ordered)), 1) - 1] * 1e3
 
 
 def _kcn_totals(harness):
@@ -55,10 +74,15 @@ def _kcn_totals(harness):
 def test_serve_throughput(once):
     walls = {}
     harnesses = {}
+    tick_ms = {}
     for tenants in FLEETS:
         start = time.perf_counter()
-        harnesses[tenants] = _run_fleet(tenants)
+        harnesses[tenants], ticks = _run_fleet(tenants)
         walls[tenants] = time.perf_counter() - start
+        tick_ms[tenants] = {
+            "p50": statistics.median(ticks) * 1e3,
+            "p90": _tick_ms(ticks, 0.90),
+        }
 
     # Time the largest fleet for the recorded benchmark number.
     once(_run_fleet, max(FLEETS))
@@ -69,10 +93,15 @@ def test_serve_throughput(once):
 
     print()
     print(f"serve plane throughput ({MINUTES} simulated minutes per fleet)")
-    print(f"{'tenants':>8}  {'wall (s)':>9}  {'steps/s':>10}")
+    print(
+        f"{'tenants':>8}  {'wall (s)':>9}  {'steps/s':>10}"
+        f"  {'tick p50 ms':>11}  {'tick p90 ms':>11}"
+    )
     for tenants in FLEETS:
         print(
             f"{tenants:>8}  {walls[tenants]:>9.2f}  {rates[tenants]:>10.0f}"
+            f"  {tick_ms[tenants]['p50']:>11.2f}"
+            f"  {tick_ms[tenants]['p90']:>11.2f}"
         )
 
     # The tick loop must stay roughly linear in fleet size: per-tenant
@@ -98,6 +127,12 @@ def test_serve_throughput(once):
             "minutes": MINUTES,
             "tenants_stepped_per_second": {
                 str(tenants): rates[tenants] for tenants in FLEETS
+            },
+            "tick_p50_ms": {
+                str(tenants): tick_ms[tenants]["p50"] for tenants in FLEETS
+            },
+            "tick_p90_ms": {
+                str(tenants): tick_ms[tenants]["p90"] for tenants in FLEETS
             },
         },
     )

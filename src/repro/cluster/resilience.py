@@ -38,7 +38,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from ..baselines.base import Recommender
 from ..db.service import DBaaSService, ServiceMinute
@@ -52,6 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injection import FaultInjector
 
 __all__ = ["ResilienceConfig", "ResilientControlLoop", "RetryPolicy"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -338,10 +340,23 @@ class ResilientControlLoop(ControlLoop):
 
     def _decide(self, minute: int, outcome: ServiceMinute) -> None:
         current = int(round(outcome.client_limit_cores))
+        target = self._guard_consult(minute, lambda: self._consult(minute, current))
+        if target is not None:
+            self.enact(minute, target)
+
+    def _guard_consult(self, minute: int, consult: Callable[[], _T]) -> _T | None:
+        """The consult half of a decision: ``consult()`` behind quarantine.
+
+        Returns ``None`` when the recommender failed (an injected fault
+        or a :class:`~repro.errors.ReproError` from ``consult``): the
+        minute degrades to hold-last-allocation. A forecaster fault that
+        fired inside the consult is counted here; the consult itself
+        already fell back to the reactive window.
+        """
         try:
             if self.faults is not None:
                 self.faults.maybe_fail(minute, "recommender")
-            target = self._consult(minute, current)
+            result = consult()
         except ReproError as exc:
             self.quarantined_consults += 1
             self._quarantine_streak += 1
@@ -354,7 +369,7 @@ class ResilientControlLoop(ControlLoop):
                         degraded_to="hold",
                     )
                 )
-            return
+            return None
         if self.faults is not None and self.faults.consume_forecaster_fire():
             self.forecaster_degradations += 1
             if self.observer is not None:
@@ -366,6 +381,14 @@ class ResilientControlLoop(ControlLoop):
                         degraded_to="reactive",
                     )
                 )
+        return result
+
+    def enact(self, minute: int, target: int) -> None:
+        """The enact half of a decision: act on a consult that landed.
+
+        Counts a quarantine exit, drops any queued retry, and hands the
+        raw target to the scaler; a rejected target is retried.
+        """
         # The consult landed: a previously-quarantined recommender has
         # recovered, which the summary reports as a quarantine exit.
         if self._quarantine_streak > 0:

@@ -146,11 +146,21 @@ class CaasperRecommender(Recommender):
         """The retained usage history as a flat float array (oldest first)."""
         return np.asarray(self._usage, dtype=float)
 
+    def decision_window(self) -> CpuTrace:
+        """The Algorithm 1 input window for a decision now.
+
+        The reactive tail of the history, or the Eq. 4 combined window
+        once proactive mode is ready — including the forecast fault gate
+        and the ``ForecastError`` → reactive fallback. :meth:`decide`
+        decides on it; callers that batch decisions through the kernels
+        (the serve plane) read it directly.
+        """
+        return self._window_builder.build(self.history()).window
+
     def decide(self, current_cores: int) -> ReactiveDecision:
         """Run one full CaaSPER decision against the retained history."""
-        combined = self._window_builder.build(self.history())
         decision = self.policy.decide(
-            current_cores, combined.window, truncate_window=False
+            current_cores, self.decision_window(), truncate_window=False
         )
         self._last_decision = decision
         return decision

@@ -10,8 +10,11 @@ recommender and a :class:`~repro.cluster.resilience.ResilientControlLoop`
   minutes hold the allocation instead of consulting, and the breaker's
   failure accounting reuses the loop's own counters (a quarantined
   consult — the recommender raised a
-  :class:`~repro.errors.ReproError` — is a failure, a clean decision a
+  :class:`~repro.errors.ReproError` — is a failure, a clean consult a
   success; enactment rejections stay with the retry ladder);
+- a deferred decision: a consult that passes its gates is returned
+  from :meth:`TenantRuntime.step` as a :class:`DueConsult`, and the
+  plane decides it together with the other tenants' consults;
 - a seeded crash schedule (``spec.crash_rate``) that raises a
   :class:`~repro.errors.FaultError` *outside* the loop, exercising the
   supervision tree — the schedule is a pure function of (seed, tick),
@@ -29,6 +32,9 @@ skip ahead.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..cluster.cluster import Cluster
 from ..cluster.controller import ControlLoopConfig
@@ -42,7 +48,24 @@ from ..faults.scenarios import make_scenario
 from .breaker import CircuitBreaker, TransitionCallback
 from .config import ServeConfig, TenantSpec
 
-__all__ = ["GuardedControlLoop", "TenantRuntime"]
+__all__ = ["DueConsult", "GuardedControlLoop", "TenantRuntime"]
+
+
+@dataclass(frozen=True)
+class DueConsult:
+    """A consult that passed its breaker and quarantine gates this minute.
+
+    ``current`` is the allocation the consult decides from (at least one
+    core) and ``window`` the Algorithm 1 input window
+    (:meth:`~repro.core.recommender.CaasperRecommender.decision_window`).
+    The plane decides every due consult of a tick in kernel cohorts and
+    hands each target to the loop's
+    :meth:`~repro.cluster.resilience.ResilientControlLoop.enact`.
+    """
+
+    minute: int
+    current: int
+    window: np.ndarray
 
 
 class GuardedControlLoop(ResilientControlLoop):
@@ -53,23 +76,34 @@ class GuardedControlLoop(ResilientControlLoop):
     the watchdog) behaves exactly like the parent. When the breaker
     disallows, the minute degrades to hold-last-allocation — the same
     shape as a quarantined consult, without paying for the consult.
+
+    A consult that gets through is not decided here: the loop builds its
+    input window and leaves it in :attr:`due`, and the caller decides it
+    (in a cohort with other tenants' consults) and calls :meth:`enact`.
     """
 
     breaker: CircuitBreaker
+    recommender: CaasperRecommender
+    due: DueConsult | None = None
 
     def _decide(self, minute: int, outcome: ServiceMinute) -> None:
         if not self.breaker.allow(minute):
             return
-        consult_failures = self.quarantined_consults
-        super()._decide(minute, outcome)
+        window = self._guard_consult(minute, self.recommender.decision_window)
         # Only a *failed consult* (the recommender raised a ReproError —
         # quarantine path) is a breaker failure. Enactment rejections are
         # normal operation (cooldown, budget, in-flight update) and the
         # retry ladder owns them.
-        if self.quarantined_consults > consult_failures:
+        if window is None:
             self.breaker.record_failure(minute)
-        else:
-            self.breaker.record_success(minute)
+            return
+        self.breaker.record_success(minute)
+        current = max(int(round(outcome.client_limit_cores)), 1)
+        self.due = DueConsult(minute, current, window.samples)
+
+    def reset(self) -> None:
+        super().reset()
+        self.due = None
 
 
 class TenantRuntime:
@@ -158,13 +192,16 @@ class TenantRuntime:
         ).random()
         return draw < rate
 
-    def step(self, tick: int, sample: float | None) -> ServiceMinute:
-        """Advance one tenant-minute; may raise into the supervisor.
+    def step(self, tick: int, sample: float | None) -> DueConsult | None:
+        """Advance one tenant-minute up to its consult; may raise into the
+        supervisor.
 
         ``sample`` is the oldest admitted telemetry sample, or ``None``
         when the tenant's queue is empty — the tenant then holds its
         last known demand (the ingestion-side analogue of telemetry
-        safe-mode).
+        safe-mode). Returns the consult the minute left due, if any; the
+        caller decides it and passes the target to the loop's
+        :meth:`~repro.cluster.resilience.ResilientControlLoop.enact`.
         """
         self.current_tick = tick
         if self._crash_due(tick):
@@ -188,7 +225,8 @@ class TenantRuntime:
         if self._last_limit is not None and limit_int != self._last_limit:
             self.resizes += 1
         self._last_limit = limit_int
-        return outcome
+        due, self.loop.due = self.loop.due, None
+        return due
 
     def reset(self) -> None:
         """Post-restart cleanup: clear the loop's transient decision state."""

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ServeError
 from repro.obs import Observer
 from repro.serve.config import ServeConfig, TenantSpec
+from repro.serve.harness import ServeHarness
 from repro.serve.plane import ControlPlane
+from repro.serve.tenant import DueConsult
 
 
 @pytest.fixture(autouse=True)
@@ -235,3 +238,82 @@ class TestDrainAndReady:
         ready, reasons = plane.ready()
         assert not ready
         assert "draining" in reasons
+
+
+class TestBatchedConsults:
+    def _checked_run(self, monkeypatch, harness, ticks):
+        """Run ``harness``, checking each batched target against the scalar
+        oracle; returns ``(spec, consult)`` for every checked consult."""
+        checked = []
+        decide_due = ControlPlane._decide_due
+
+        def checking(plane, due):
+            targets = decide_due(plane, due)
+            for (_, tenant, consult), target in zip(due, targets):
+                runtime = plane.tenants[tenant]
+                assert runtime.loop.due is None
+                # The oracle rebuilds the window, firing an active
+                # forecaster fault again; keep the injector's state so the
+                # run itself is not perturbed.
+                faults = runtime.loop.faults
+                saved = (dict(faults.counts), faults._forecaster_fired_minute)
+                oracle = runtime.loop.recommender.decide(consult.current)
+                faults.counts, faults._forecaster_fired_minute = saved
+                assert target == oracle.target_cores, (tenant, consult.minute)
+                checked.append((runtime.spec, consult))
+            return targets
+
+        monkeypatch.setattr(ControlPlane, "_decide_due", checking)
+        harness.run(ticks)
+        return checked
+
+    def test_batched_targets_match_the_scalar_oracle(self, monkeypatch):
+        def harness():
+            return ServeHarness(
+                8,
+                config=ServeConfig(fsync_journal=False),
+                seed=2,
+                scenario="component-crash",
+                scenario_minutes=2000,
+                crash_rate=0.01,
+                crash_horizon_ticks=300,
+            )
+
+        checked_harness = harness()
+        checked = self._checked_run(monkeypatch, checked_harness, 1700)
+        plane = checked_harness.plane
+        sizes = {consult.window.size for _, consult in checked}
+        assert min(sizes) < 40  # the first ticks' short windows
+        assert {spec.max_cores for spec, _ in checked} == {8, 12, 16}
+        assert any(not spec.proactive for spec, _ in checked)
+        # Proactive tenants past the 1440-minute gate: 40 observed + 60
+        # forecast minutes.
+        assert any(
+            spec.proactive and consult.minute > 1440 and consult.window.size == 100
+            for spec, consult in checked
+        )
+        audit = plane.audit()
+        assert audit["resilience"]["quarantined_consults"] > 0
+        assert audit["resilience"]["forecaster_degradations"] > 0
+        assert audit["breakers"]["skipped_consults"] > 0
+        assert audit["supervisor"]["restarts"] > 0
+        restarted = {t for t, rt in plane.tenants.items() if rt.crashes}
+        assert any(
+            spec.tenant in restarted and consult.minute > 300
+            for spec, consult in checked
+        )
+        assert sum(rt.starved_minutes for rt in plane.tenants.values()) > 0
+        # The oracle left the run as it was.
+        monkeypatch.undo()
+        plain = harness()
+        plain.run(1700)
+        assert plain.plane.ledger_digest() == plane.ledger_digest()
+        assert plain.plane.audit() == audit
+
+    def test_reset_drops_a_due_consult(self):
+        plane = ControlPlane(small_config())
+        plane.register(spec("a"))
+        runtime = plane.tenants["a"]
+        runtime.loop.due = DueConsult(5, 4, np.ones(6))
+        runtime.reset()
+        assert runtime.loop.due is None
