@@ -230,64 +230,44 @@ class BatchEngine:
         (:func:`repro.store.keys.simulate_key`), so batch results and
         scalar results hit each other's cache entries.
         """
+        from ..store.memo import memoize
+
         jobs = list(jobs)
         start = time.perf_counter() if self.observer is not None else 0.0
-        results: list[SimulationResult | None] = [None] * len(jobs)
-        keys: list = [None] * len(jobs)
-        cache_hits = 0
+        vector: list[int] = []
+        scalar: list[int] = []
 
-        pending: list[int] = []
-        for index, job in enumerate(jobs):
-            if store is not None:
-                from ..store.keys import simulate_key
+        def compute(misses: list[int]) -> list[SimulationResult]:
+            vector.extend(i for i in misses if vectorizable(jobs[i].config))
+            scalar.extend(i for i in misses if not vectorizable(jobs[i].config))
+            computed = {
+                i: simulate_trace(
+                    jobs[i].demand, CaasperRecommender(jobs[i].config), jobs[i].simulator
+                )
+                for i in scalar
+            }
+            if len(vector) == 1:
+                computed[vector[0]] = _simulate_lane(jobs[vector[0]])
+            elif vector:
+                batch = _simulate_many([jobs[i] for i in vector])
+                computed.update(zip(vector, batch))
+            return [computed[index] for index in misses]
 
-                probe = CaasperRecommender(job.config)
-                key = simulate_key(job.demand, probe, job.simulator)
-                keys[index] = key
-                if key is not None:
-                    hit = store.get(key, "simulate", observer=self.observer)
-                    if hit is not None:
-                        results[index] = hit
-                        cache_hits += 1
-                        continue
-            pending.append(index)
-
-        vector = [i for i in pending if vectorizable(jobs[i].config)]
-        scalar = [i for i in pending if not vectorizable(jobs[i].config)]
-
-        for index in scalar:
-            job = jobs[index]
-            results[index] = simulate_trace(
-                job.demand,
-                CaasperRecommender(job.config),
-                job.simulator,
-            )
-
-        if len(vector) == 1:
-            results[vector[0]] = _simulate_lane(jobs[vector[0]])
-        elif vector:
-            batch = _simulate_many([jobs[i] for i in vector])
-            for index, result in zip(vector, batch):
-                results[index] = result
-
+        keys: list[str | None] = [None] * len(jobs)
+        producers = [""] * len(jobs)
         if store is not None:
             from ..obs.tracing import derive_trace_id, simulate_trace_name
+            from ..store.keys import simulate_key
 
-            for index in pending:
-                key = keys[index]
-                result = results[index]
-                if key is None or result is None:
-                    continue
-                store.put(
-                    key,
-                    "simulate",
-                    result,
-                    observer=self.observer,
-                    producer_trace_id=derive_trace_id(
-                        0,
-                        simulate_trace_name(jobs[index].demand.name, jobs[index].name),
-                    ),
+            for index, job in enumerate(jobs):
+                probe = CaasperRecommender(job.config)
+                keys[index] = simulate_key(job.demand, probe, job.simulator)
+                producers[index] = derive_trace_id(
+                    0, simulate_trace_name(job.demand.name, job.name)
                 )
+        results = memoize(
+            store, "simulate", keys, producers, compute, self.observer
+        )
 
         if self.observer is not None:
             self.observer.emit(
@@ -296,12 +276,12 @@ class BatchEngine:
                     lanes=len(jobs),
                     vector_lanes=len(vector),
                     scalar_lanes=len(scalar),
-                    cache_hits=cache_hits,
+                    cache_hits=len(jobs) - len(vector) - len(scalar),
                     cohorts=len({_cohort_key(jobs[i].config) for i in vector}),
                     elapsed_seconds=time.perf_counter() - start,
                 )
             )
-        return [r for r in results if r is not None]
+        return results
 
 
 def _simulate_lane(job: EngineJob) -> SimulationResult:

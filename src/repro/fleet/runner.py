@@ -63,7 +63,7 @@ def _worker_store(root: str) -> "ResultStore":
     if store is None:
         from ..store.cas import ResultStore
 
-        store = ResultStore(root, memory_entries=0)
+        store = ResultStore(root)
         _WORKER_STORES[root] = store
     return store
 

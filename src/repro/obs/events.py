@@ -589,7 +589,9 @@ class CacheHitEvent(ObsEvent):
         Key namespace (``simulate``, ``trial``, ``chaos``) — the label
         on ``store_hits_total{kind=}``.
     source:
-        ``"memory"`` (in-process LRU front) or ``"disk"``.
+        Always ``"disk"``: the store has no in-memory front. The field
+        stays so that recorded JSONL traces, some of which carry
+        ``"memory"``, still load.
     producer_trace_id:
         Trace id of the run that originally computed the blob (empty
         when the blob predates provenance stamping).

@@ -25,7 +25,6 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,9 +38,6 @@ from ..trace import CpuTrace
 from .billing import BillingModel
 from .metrics import SimulationMetrics
 from .results import ScalingEvent, SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..store.cas import ResultStore
 
 __all__ = ["SimulatorConfig", "simulate_trace"]
 
@@ -100,7 +96,6 @@ def simulate_trace(
     recommender: Recommender,
     config: SimulatorConfig,
     observer: Observer | None = None,
-    store: "ResultStore | None" = None,
 ) -> SimulationResult:
     """Replay ``demand`` through ``recommender`` under ``config``.
 
@@ -116,17 +111,9 @@ def simulate_trace(
     timings. Observation never feeds back into the simulation: results
     are identical with and without an observer attached.
 
-    ``store`` (optional) memoises the run through a
-    :class:`~repro.store.cas.ResultStore`: a hit returns a decoded
-    result byte-identical (canonical JSON) to recomputation and skips
-    the loop — including the recommender's observations — so pass a
-    store only with a freshly constructed recommender. ``store=None``
-    (the default) is exactly the uncached behaviour.
+    To memoise the run through a result store, call
+    :func:`repro.store.memo.cached_simulate` instead.
     """
-    if store is not None:
-        from ..store.memo import cached_simulate
-
-        return cached_simulate(demand, recommender, config, observer, store)
     minutes = demand.minutes
     demand_series = demand.samples
     usage_series = np.empty(minutes, dtype=float)

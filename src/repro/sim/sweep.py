@@ -23,7 +23,12 @@ from ..obs.spans import span
 from ..trace import CpuTrace
 from .billing import BillingModel
 from .results import SimulationResult
-from .simulator import SimulatorConfig, simulate_trace
+from .simulator import SimulatorConfig
+
+# Unused here since the sweep memoises through ``cached_simulate``; kept
+# as a module-level name because ``perfbench/layers.py`` resolves its
+# ``sim.simulate_trace`` hook target on this module.
+from .simulator import simulate_trace  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchEngine
@@ -253,6 +258,8 @@ def run_sweep(
         )
         return sweep_outcome(executor.run(plan).require_success())
 
+    from ..store.memo import cached_simulate
+
     results: dict[str, SimulationResult] = {}
     if engine is not None:
         from ..engine.jobs import engine_job_for
@@ -266,7 +273,7 @@ def run_sweep(
                 jobs.append(job)
                 job_names.append(trace.name)
             else:
-                results[trace.name] = simulate_trace(
+                results[trace.name] = cached_simulate(
                     trace, recommender, config.simulator_for(trace), store=store
                 )
         for name, result in zip(job_names, engine.run(jobs, store=store)):
@@ -282,7 +289,7 @@ def run_sweep(
         recommender = factory(trace)
         if observer is not None:
             with observer.active(), span(f"sweep.trace.{trace.name}"):
-                result = simulate_trace(
+                result = cached_simulate(
                     trace,
                     recommender,
                     config.simulator_for(trace),
@@ -290,7 +297,7 @@ def run_sweep(
                     store=store,
                 )
         else:
-            result = simulate_trace(
+            result = cached_simulate(
                 trace, recommender, config.simulator_for(trace), store=store
             )
         results[trace.name] = sweep_entry(trace.name, result)

@@ -35,9 +35,10 @@ Durability and concurrency discipline:
   damaged cache can make runs slow, never wrong, and never crashes
   them.
 
-An in-memory LRU front caches the canonical payload *text* of recent
-keys; every hit — memory or disk — decodes fresh result objects, so two
-callers can never observe each other's mutations through the cache.
+There is no in-memory front: every hit reads its blob, verifies the
+checksum and decodes fresh result objects, so damage on disk is seen at
+once and two callers can never observe each other's mutations through
+the cache.
 """
 
 from __future__ import annotations
@@ -137,32 +138,19 @@ class ResultStore:
         Optional size budget. When set, :meth:`gc` (called by the batch
         entry points after a run) evicts least-recently-written blobs
         until the store fits.
-    memory_entries:
-        Capacity of the in-memory LRU front (0 disables it).
-    observer:
-        Default telemetry sink for hit/miss/eviction events; individual
-        calls can override it.
+
+    Telemetry goes to the ``observer=`` each call passes.
     """
 
     def __init__(
         self,
         root: str | os.PathLike[str] | None = None,
         max_bytes: int | None = None,
-        memory_entries: int = 256,
-        observer: "Observer | None" = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise StoreError(f"max_bytes must be >= 0, got {max_bytes}")
-        if memory_entries < 0:
-            raise StoreError(f"memory_entries must be >= 0, got {memory_entries}")
         self.root = Path(root) if root is not None else default_store_root()
         self.max_bytes = max_bytes
-        self.memory_entries = int(memory_entries)
-        self.observer = observer
-        #: key → (kind, canonical payload text, provenance stamp).
-        self._memory: OrderedDict[str, tuple[str, str, dict[str, Any]]] = (
-            OrderedDict()
-        )
         self._stats_hits = 0
         self._stats_misses = 0
         self._stats_puts = 0
@@ -200,14 +188,6 @@ class ResultStore:
         """
         from ..fleet.codec import decode_json
 
-        observer = observer if observer is not None else self.observer
-        cached = self._memory.get(key)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self._stats_hits += 1
-            if observer is not None:
-                self._emit_hit(observer, key, kind, "memory", cached[2])
-            return decode_json(cached[1])
         read = self._read_blob(key)
         if isinstance(read, str):
             self._stats_misses += 1
@@ -218,30 +198,18 @@ class ResultStore:
             return None
         header, payload_text = read
         provenance = header["provenance"]
-        self._remember(key, kind, payload_text, provenance)
         self._stats_hits += 1
         if observer is not None:
-            self._emit_hit(observer, key, kind, "disk", provenance)
-        return decode_json(payload_text)
-
-    @staticmethod
-    def _emit_hit(
-        observer: "Observer",
-        key: str,
-        kind: str,
-        source: str,
-        provenance: dict[str, Any],
-    ) -> None:
-        observer.emit(
-            CacheHitEvent(
-                minute=0,
-                key=key,
-                result_kind=kind,
-                source=source,
-                producer_trace_id=str(provenance.get("trace_id", "")),
-                producer_epoch=int(provenance.get("epoch", 0)),
+            observer.emit(
+                CacheHitEvent(
+                    minute=0,
+                    key=key,
+                    result_kind=kind,
+                    producer_trace_id=str(provenance.get("trace_id", "")),
+                    producer_epoch=int(provenance.get("epoch", 0)),
+                )
             )
-        )
+        return decode_json(payload_text)
 
     def _read_blob(self, key: str) -> tuple[dict[str, Any], str] | str:
         """``(header, payload text)`` for ``key``, else the miss reason.
@@ -263,20 +231,6 @@ class ResultStore:
                 pass
             return "corrupt"
         return parsed
-
-    def _remember(
-        self,
-        key: str,
-        kind: str,
-        payload_text: str,
-        provenance: dict[str, Any],
-    ) -> None:
-        if self.memory_entries <= 0:
-            return
-        self._memory[key] = (kind, payload_text, provenance)
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
 
     # -- write path ------------------------------------------------------------
 
@@ -303,18 +257,16 @@ class ResultStore:
         checksum: later ``get`` calls report which run computed the
         bytes they are serving.
         """
-        payload_text = _canonical(encode(value))
-        payload = payload_text.encode("utf-8")
-        provenance = {
-            "epoch": STORE_EPOCH,
-            "key": key,
-            "trace_id": producer_trace_id,
-        }
+        payload = _canonical(encode(value)).encode("utf-8")
         header = {
             "checksum": sha256(payload).hexdigest(),
             "epoch": STORE_EPOCH,
             "kind": kind,
-            "provenance": provenance,
+            "provenance": {
+                "epoch": STORE_EPOCH,
+                "key": key,
+                "trace_id": producer_trace_id,
+            },
         }
         data = _canonical(header).encode("utf-8") + b"\n" + payload
         path = self._blob_path(key)
@@ -328,9 +280,7 @@ class ResultStore:
             os.close(fd)
         os.replace(tmp, path)
         self._append_index(key, kind, len(data))
-        self._remember(key, kind, payload_text, provenance)
         self._stats_puts += 1
-        observer = observer if observer is not None else self.observer
         if observer is not None:
             observer.store_bytes(self.total_bytes())
         return len(data)
@@ -442,7 +392,6 @@ class ResultStore:
             raise StoreError(f"max_bytes must be >= 0, got {budget}")
         entries = self.entries()
         total = sum(entry["nbytes"] for entry in entries)
-        observer = observer if observer is not None else self.observer
         evicted: list[str] = []
         survivors = list(entries)
         while total > budget and survivors:
@@ -452,7 +401,6 @@ class ResultStore:
                 self._blob_path(key).unlink()
             except OSError:  # lint: disable=EXC001 - already gone is fine
                 pass
-            self._memory.pop(key, None)
             total -= entry["nbytes"]
             evicted.append(key)
             self._stats_evictions += 1
@@ -499,7 +447,6 @@ class ResultStore:
             self.index_path.unlink()
         except (FileNotFoundError, OSError):  # lint: disable=EXC001
             pass
-        self._memory.clear()
         return len(blobs)
 
     def verify(self) -> dict[str, Any]:

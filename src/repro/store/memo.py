@@ -1,16 +1,16 @@
-"""Memoised entry points: simulation and tuning trials through the store.
+"""The one memoisation path: probe, compute the misses, write back.
 
-These wrappers are the seam the batch entry points
-(:func:`~repro.sim.simulator.simulate_trace`,
-:func:`~repro.sim.sweep.run_sweep`, the tuning searches and the fleet
-runner) call when given a ``store=``. The contract:
+Every batch entry point that takes a ``store=`` — the sweep seam, the
+batch engine, the tuning searches — memoises through :func:`memoize`;
+:func:`cached_simulate` and :func:`cached_trial` are its one-run
+wrappers. The contract:
 
 - **Byte-identical or recomputed.** A hit decodes the stored canonical
   JSON back into result objects that are bit-identical (per
   :func:`repro.fleet.codec.canonical_json`) to what recomputation would
   produce. Any doubt — unsignable input, corrupt blob, epoch mismatch —
-  falls through to recomputation. ``store=None`` is exactly today's
-  behaviour.
+  falls through to recomputation. ``store=None`` computes everything
+  and touches no store.
 - **Fresh recommenders only.** A cache hit skips the simulation loop,
   so the recommender passed to :func:`cached_simulate` is *not* fed
   observations on the hit path. Every in-repo caller (sweep factories,
@@ -19,12 +19,12 @@ runner) call when given a ``store=``. The contract:
   across runs must not pass a store.
 - **Telemetry records the shortcut.** On a hit the observer sees a
   ``cache_hit`` event instead of the per-minute simulation trail; on a
-  miss it sees the normal trail plus a ``cache_miss``.
+  miss it sees a ``cache_miss``, then the normal trail.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..baselines.base import Recommender
 from ..core.config import CaasperConfig
@@ -39,7 +39,57 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tuning.search import TrialResult
     from .cas import ResultStore
 
-__all__ = ["cached_simulate", "cached_trial"]
+__all__ = ["cached_simulate", "cached_trial", "memoize"]
+
+
+def memoize(
+    store: "ResultStore | None",
+    kind: str,
+    keys: Sequence[str | None],
+    producer_trace_ids: Sequence[str],
+    compute: Callable[[list[int]], Sequence[Any]],
+    observer: "Observer | None" = None,
+) -> list[Any]:
+    """Results for every key, computing only the store misses.
+
+    Probes each key in order, calls ``compute(misses)`` once with the
+    miss positions (it returns one result per position, in that order),
+    then writes each computed result back in position order, stamped
+    with its ``producer_trace_ids`` entry. A ``None`` store or a
+    ``None`` key (an unsignable input) is compute only: no read and no
+    write.
+    """
+    results: list[Any] = [None] * len(keys)
+    misses: list[int] = []
+    for index, key in enumerate(keys):
+        hit = None
+        if store is not None and key is not None:
+            hit = store.get(key, kind, observer=observer)
+        if hit is None:
+            misses.append(index)
+        else:
+            results[index] = hit
+    for index, result in zip(misses, compute(misses), strict=True):
+        results[index] = result
+    if store is not None:
+        for index in misses:
+            key = keys[index]
+            if key is not None:
+                store.put(
+                    key,
+                    kind,
+                    results[index],
+                    observer=observer,
+                    producer_trace_id=producer_trace_ids[index],
+                )
+    return results
+
+
+def _producer_trace_id(demand: CpuTrace, recommender_name: str) -> str:
+    """The (seed=0, name) trace id ``simulate_trace`` opens its run
+    under, so the stamp matches the run whether or not an observer was
+    attached."""
+    return derive_trace_id(0, simulate_trace_name(demand.name, recommender_name))
 
 
 def cached_simulate(
@@ -54,28 +104,18 @@ def cached_simulate(
     With ``store=None``, or when the recommender cannot be signed
     (``store_payload()`` is ``None``), this is a plain call-through.
     """
-    if store is None:
-        return simulate_trace(demand, recommender, config, observer)
-    key = simulate_key(demand, recommender, config)
-    if key is None:
-        return simulate_trace(demand, recommender, config, observer)
-    hit = store.get(key, "simulate", observer=observer)
-    if hit is not None:
-        return hit  # type: ignore[no-any-return]
-    result = simulate_trace(demand, recommender, config, observer)
-    # Provenance: the same (seed=0, name) derivation simulate_trace uses
-    # to open its run trace, so the stamp matches the run's trace id
-    # whether or not an observer was attached.
-    store.put(
-        key,
+    key = simulate_key(demand, recommender, config) if store is not None else None
+    [result] = memoize(
+        store,
         "simulate",
-        result,
-        observer=observer,
-        producer_trace_id=derive_trace_id(
-            0, simulate_trace_name(demand.name, recommender.name)
-        ),
+        [key],
+        [_producer_trace_id(demand, recommender.name)],
+        lambda misses: [
+            simulate_trace(demand, recommender, config, observer) for _ in misses
+        ],
+        observer,
     )
-    return result
+    return result  # type: ignore[no-any-return]
 
 
 def cached_trial(
@@ -89,24 +129,23 @@ def cached_trial(
     from ..core.recommender import CaasperRecommender
     from ..tuning.search import TrialResult
 
-    if store is not None:
-        key = trial_key(config, demand, simulator)
-        hit = store.get(key, "trial", observer=observer)
-        if hit is not None:
-            return hit  # type: ignore[no-any-return]
-    else:
-        key = None
     recommender = CaasperRecommender(config)
-    result = simulate_trace(demand, recommender, simulator, observer)
-    trial = TrialResult.from_simulation(config, result)
-    if store is not None and key is not None:
-        store.put(
-            key,
-            "trial",
-            trial,
-            observer=observer,
-            producer_trace_id=derive_trace_id(
-                0, simulate_trace_name(demand.name, recommender.name)
-            ),
-        )
-    return trial
+
+    def compute(misses: list[int]) -> list[TrialResult]:
+        return [
+            TrialResult.from_simulation(
+                config, simulate_trace(demand, recommender, simulator, observer)
+            )
+            for _ in misses
+        ]
+
+    key = trial_key(config, demand, simulator) if store is not None else None
+    [trial] = memoize(
+        store,
+        "trial",
+        [key],
+        [_producer_trace_id(demand, recommender.name)],
+        compute,
+        observer,
+    )
+    return trial  # type: ignore[no-any-return]

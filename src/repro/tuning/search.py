@@ -18,9 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..core.config import CaasperConfig
-from ..core.recommender import CaasperRecommender
 from ..errors import TuningError
-from ..sim.simulator import SimulatorConfig, simulate_trace
+from ..sim.simulator import SimulatorConfig
 from ..trace import CpuTrace
 from .objective import sample_alphas
 from .pareto import pareto_frontier
@@ -89,52 +88,41 @@ def _engine_outcome(
 ) -> SearchOutcome:
     """Step every trial config as lanes of one engine batch, in order.
 
-    Shared by the random and grid drivers. Replicates
-    :func:`~repro.store.memo.cached_trial`'s store protocol around the
-    batch — previously evaluated (config, demand, simulator) triples
-    decode under the same ``trial`` key instead of simulating, and
-    fresh trials are written back for the scalar paths to hit later.
+    Shared by the random and grid drivers. Memoises under the same
+    ``trial`` keys as :func:`~repro.store.memo.cached_trial`:
+    previously evaluated (config, demand, simulator) triples decode
+    instead of simulating, and fresh trials are written back for the
+    scalar paths to hit later.
     """
     from ..engine.jobs import EngineJob
+    from ..store.memo import memoize
 
-    trials: list[TrialResult | None] = [None] * len(configs)
-    jobs: list[EngineJob] = []
-    slots: list[int] = []
-    keys: list[object] = [None] * len(configs)
+    jobs = [
+        EngineJob.from_config(demand, config, simulator_config) for config in configs
+    ]
+
+    def compute(misses: list[int]) -> list[TrialResult]:
+        # No store handed to the engine: trials memoise as ``trial``
+        # blobs (K, C, N + config), not full ``simulate`` results.
+        results = engine.run([jobs[index] for index in misses])
+        return [
+            TrialResult.from_simulation(configs[index], result)
+            for index, result in zip(misses, results)
+        ]
+
+    keys: list[str | None] = [None] * len(configs)
+    producers = [""] * len(configs)
     if store is not None:
+        from ..obs.tracing import derive_trace_id, simulate_trace_name
         from ..store.keys import trial_key
 
-        for index, config in enumerate(configs):
+        for index, (config, job) in enumerate(zip(configs, jobs)):
             keys[index] = trial_key(config, demand, simulator_config)
-            hit = store.get(keys[index], "trial")
-            if hit is not None:
-                trials[index] = hit
-                continue
-            jobs.append(EngineJob.from_config(demand, config, simulator_config))
-            slots.append(index)
-    else:
-        for index, config in enumerate(configs):
-            jobs.append(EngineJob.from_config(demand, config, simulator_config))
-            slots.append(index)
-
-    # No store handed to the engine: trials memoise as ``trial`` blobs
-    # (K, C, N + config), not full ``simulate`` results.
-    results = engine.run(jobs)
-    for job, slot, result in zip(jobs, slots, results):
-        trial = TrialResult.from_simulation(configs[slot], result)
-        trials[slot] = trial
-        if store is not None:
-            from ..obs.tracing import derive_trace_id, simulate_trace_name
-
-            store.put(
-                keys[slot],
-                "trial",
-                trial,
-                producer_trace_id=derive_trace_id(
-                    0, simulate_trace_name(demand.name, job.name)
-                ),
+            producers[index] = derive_trace_id(
+                0, simulate_trace_name(demand.name, job.name)
             )
-    return SearchOutcome(trials=tuple(trials))  # type: ignore[arg-type]
+    trials = memoize(store, "trial", keys, producers, compute)
+    return SearchOutcome(trials=tuple(trials))
 
 
 @dataclass(frozen=True)
@@ -251,15 +239,9 @@ class RandomSearch:
         (config, demand, simulator) triple decodes byte-identically
         instead of re-simulating.
         """
-        if store is not None:
-            from ..store.memo import cached_trial
+        from ..store.memo import cached_trial
 
-            return cached_trial(
-                config, self.demand, self.simulator_config, store=store
-            )
-        recommender = CaasperRecommender(config)
-        result = simulate_trace(self.demand, recommender, self.simulator_config)
-        return TrialResult.from_simulation(config, result)
+        return cached_trial(config, self.demand, self.simulator_config, store=store)
 
     def run(
         self,

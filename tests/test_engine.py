@@ -32,7 +32,7 @@ from repro.obs import JsonlSink, Observer, RingBufferSink, read_events
 from repro.obs.events import EngineBatchEvent
 from repro.sim import SimulatorConfig, simulate_trace
 from repro.sim.sweep import SweepConfig, default_recommender_factory, run_sweep
-from repro.store import ResultStore
+from repro.store import ResultStore, cached_simulate
 from repro.store.keys import simulate_key
 from repro.trace import CpuTrace
 from repro.tuning import GridSearch, RandomSearch
@@ -193,17 +193,14 @@ class TestStoreInterop:
         assert hit is not None
         assert blob(hit) == blob(oracle(trace, CONFIG, SIM))
         # And the scalar entry point decodes it transparently.
-        scalar = simulate_trace(trace, probe, SIM, store=store)
+        scalar = cached_simulate(trace, probe, SIM, store=store)
         assert blob(scalar) == blob(hit)
 
     def test_engine_hits_scalar_written_entries(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         traces = [bumpy_trace(240, 10 + s, f"hit{s}") for s in range(3)]
         for trace in traces:
-            simulate_trace(
-                trace, CaasperRecommender(CONFIG), SIM,
-                store=store,
-            )
+            cached_simulate(trace, CaasperRecommender(CONFIG), SIM, store=store)
         ring = RingBufferSink(capacity=8)
         engine = BatchEngine(observer=Observer(sinks=[ring]))
         results = engine.run(jobs_for(traces), store=store)

@@ -128,7 +128,7 @@ def run_fleet(observer: Observer, workdir: Path) -> None:
 
 
 def run_store(observer: Observer, workdir: Path) -> None:
-    """Cold misses, warm disk and memory hits, then GC to empty."""
+    """Cold misses, two warm passes of disk hits, then GC to empty."""
     root = workdir / "cas"
     traces = _small_traces(2)
     run_sweep(traces, observer=observer, store=ResultStore(root))

@@ -57,14 +57,6 @@ class TestRoundTrip:
         assert store.get(_key("missing"), "simulate") is None
         assert store.stats.misses == 1
 
-    def test_disk_hit_then_memory_hit(self, store, tmp_path):
-        key = _key("a")
-        store.put(key, "simulate", {"x": 1})
-        fresh = ResultStore(tmp_path / "cas")
-        assert fresh.get(key, "simulate") == {"x": 1}  # disk
-        assert fresh.get(key, "simulate") == {"x": 1}  # memory LRU
-        assert fresh.stats.hits == 2
-
     def test_hits_decode_fresh_objects(self, store):
         """Mutating a hit must not poison later hits (no shared state)."""
         key = _key("a")
@@ -72,16 +64,6 @@ class TestRoundTrip:
         first = store.get(key, "simulate")
         first["values"].append(99)
         assert store.get(key, "simulate") == {"values": [1, 2, 3]}
-
-    def test_memory_front_bounded(self, tmp_path):
-        store = ResultStore(tmp_path / "cas", memory_entries=2)
-        keys = [_key(f"k{i}") for i in range(3)]
-        for i, key in enumerate(keys):
-            store.put(key, "simulate", {"i": i})
-        assert len(store._memory) == 2
-        assert keys[0] not in store._memory  # oldest evicted from LRU
-        # ... but still on disk.
-        assert store.get(keys[0], "simulate") == {"i": 0}
 
     def test_survives_reopen(self, store, tmp_path):
         key = _key("a")
@@ -112,7 +94,6 @@ class TestCorruption:
     def test_damaged_blob_is_a_miss(self, store, damage):
         key = _key("a")
         store.put(key, "simulate", {"x": 1})
-        store._memory.clear()
         self._poison(store, key, damage(store._blob_path(key).read_bytes()))
         assert store.get(key, "simulate") is None
         assert store.stats.misses == 1
@@ -122,7 +103,6 @@ class TestCorruption:
     def test_checksum_mismatch_is_a_miss(self, store):
         key = _key("a")
         store.put(key, "simulate", {"x": 1})
-        store._memory.clear()
         path = store._blob_path(key)
         blob = path.read_bytes()
         assert blob.endswith(b'{"x":1}')
@@ -132,7 +112,6 @@ class TestCorruption:
     def test_epoch_mismatch_is_a_miss(self, store):
         key = _key("a")
         store.put(key, "simulate", {"x": 1})
-        store._memory.clear()
         path = store._blob_path(key)
         head, _, payload = path.read_bytes().partition(b"\n")
         header = json.loads(head)
@@ -141,10 +120,25 @@ class TestCorruption:
         path.write_bytes(rewritten.encode() + b"\n" + payload)
         assert store.get(key, "simulate") is None
 
+    def test_damage_after_a_hit_is_seen_by_the_same_handle(self, store):
+        """Every hit reads and checksums its blob, so damage landing
+        after a hit shows on the next ``get`` through the same handle
+        instead of being served from an earlier read."""
+        key = _key("a")
+        store.put(key, "simulate", {"x": 1})
+        assert store.get(key, "simulate") == {"x": 1}
+        self._poison(store, key, b"garbage")
+        observer = Observer()
+        assert store.get(key, "simulate", observer=observer) is None
+        [miss] = observer.events_of_kind("cache_miss")
+        assert miss.reason == "corrupt"
+        store.put(key, "simulate", {"x": 1})
+        assert store.verify()["corrupt"] == []
+        assert store.get(key, "simulate") == {"x": 1}
+
     def test_recompute_after_corruption_heals(self, store):
         key = _key("a")
         store.put(key, "simulate", {"x": 1})
-        store._memory.clear()
         self._poison(store, key, b"garbage")
         assert store.get(key, "simulate") is None
         store.put(key, "simulate", {"x": 1})
@@ -243,13 +237,12 @@ class TestGc:
 class TestObservability:
     def test_hit_miss_eviction_events_and_metrics(self, tmp_path):
         observer = Observer()
-        store = ResultStore(tmp_path / "cas", observer=observer)
+        store = ResultStore(tmp_path / "cas")
         key = _key("a")
-        assert store.get(key, "simulate") is None
-        store.put(key, "simulate", {"x": 1})
-        store._memory.clear()
-        assert store.get(key, "simulate") == {"x": 1}
-        store.gc(max_bytes=0)
+        assert store.get(key, "simulate", observer=observer) is None
+        store.put(key, "simulate", {"x": 1}, observer=observer)
+        assert store.get(key, "simulate", observer=observer) == {"x": 1}
+        store.gc(max_bytes=0, observer=observer)
 
         assert len(observer.events_of_kind("cache_miss")) == 1
         hits = observer.events_of_kind("cache_hit")
@@ -262,13 +255,6 @@ class TestObservability:
         assert snapshot["store_misses_total"]["values"] == {'{kind="simulate"}': 1.0}
         assert snapshot["store_evictions_total"]["values"] == {"": 1.0}
         assert snapshot["store_bytes"]["values"][""] == 0.0
-
-    def test_call_site_observer_overrides_constructor(self, tmp_path):
-        constructor_obs, call_obs = Observer(), Observer()
-        store = ResultStore(tmp_path / "cas", observer=constructor_obs)
-        store.get(_key("a"), "simulate", observer=call_obs)
-        assert len(call_obs.events_of_kind("cache_miss")) == 1
-        assert len(constructor_obs.events_of_kind("cache_miss")) == 0
 
 
 class TestDefaultRoot:
@@ -287,7 +273,7 @@ import sys
 from repro.store import ResultStore, store_key
 
 root, tag, rounds = sys.argv[1], sys.argv[2], int(sys.argv[3])
-store = ResultStore(root, memory_entries=0)
+store = ResultStore(root)
 key = store_key("simulate", {"shared": True})
 for i in range(rounds):
     store.put(key, "simulate", {"payload": list(range(50)), "shared": True})

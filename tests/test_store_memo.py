@@ -68,7 +68,7 @@ class TestCachedSimulate:
     def test_store_none_is_plain_call_through(self, tmp_path):
         trace = _trace()
         baseline = simulate_trace(trace, _recommender(), _sim_config())
-        through_seam = simulate_trace(
+        through_seam = cached_simulate(
             trace, _recommender(), _sim_config(), store=None
         )
         assert _canon(through_seam) == _canon(baseline)
@@ -95,7 +95,7 @@ class TestCachedSimulate:
 
     def test_poisoned_blob_recomputes_identically_and_heals(self, tmp_path):
         trace = _trace()
-        store = ResultStore(tmp_path / "cas", memory_entries=0)
+        store = ResultStore(tmp_path / "cas")
         cold = cached_simulate(trace, _recommender(), _sim_config(), store=store)
         blob = next(iter(store._blob_files().values()))
         blob.write_bytes(b'{"checksum": "poisoned"')
