@@ -49,10 +49,6 @@ class WorkerTelemetry:
     metrics: MetricsRegistry | None = None
     spans: tuple[tuple[str, int, float, float, float, float], ...] = ()
 
-    @property
-    def event_count(self) -> int:
-        return len(self.events)
-
 
 def worker_observer() -> Observer:
     """Fresh observer for one worker-side job execution."""

@@ -102,13 +102,6 @@ class ClassInfo:
         """Base names reduced to their last dotted segment."""
         return tuple(base.rsplit(".", 1)[-1] for base in self.bases)
 
-    def is_frozen_dataclass(self) -> bool:
-        """True for ``@dataclass(frozen=True)`` (textual match)."""
-        return any(
-            dec.startswith("dataclass") and "frozen=True" in dec
-            for dec in self.decorators
-        )
-
 
 def _dotted_name(node: ast.expr) -> str | None:
     """``a.b.c`` for Name/Attribute chains, else None."""
@@ -240,9 +233,6 @@ class ModuleContext:
 
     # -- queries rules lean on --------------------------------------------------
 
-    def parent_of(self, node: ast.AST) -> ast.AST | None:
-        return self.parents.get(node)
-
     def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
         """Walk from ``node``'s parent up to the module root."""
         current = self.parents.get(node)
@@ -300,9 +290,6 @@ class ProjectIndex:
     def all_classes(self) -> Iterator[ClassInfo]:
         for module in self.modules.values():
             yield from module.classes.values()
-
-    def classes_named(self, name: str) -> list[ClassInfo]:
-        return [info for info in self.all_classes() if info.name == name]
 
     def subclasses_of(self, root: str) -> list[ClassInfo]:
         """Transitive subclasses of ``root`` by base-name resolution.

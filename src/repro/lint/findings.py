@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 __all__ = ["Severity", "Finding", "SuppressionTable"]
 
@@ -103,13 +103,3 @@ class SuppressionTable:
         if code in self._file_wide:
             return True
         return code in self._by_line.get(line, frozenset())
-
-    @property
-    def line_map(self) -> Mapping[int, frozenset[str]]:
-        """Line → suppressed codes (diagnostics/tests)."""
-        return dict(self._by_line)
-
-    @property
-    def file_wide(self) -> frozenset[str]:
-        """Codes suppressed for the whole file."""
-        return frozenset(self._file_wide)

@@ -50,10 +50,6 @@ class SpanRecord:
     depth: int
     parent: str | None
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.end - self.start
-
 
 @dataclass
 class SpanStats:

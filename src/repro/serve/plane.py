@@ -497,17 +497,6 @@ class ControlPlane:
                 return int(record["tick"])
         return -1
 
-    def ingested_counts(self) -> dict[str, int]:
-        """Per-tenant admitted-sample totals (shed samples included).
-
-        Harnesses use this after a recovery to resume their telemetry
-        streams at the exact sample the plane last admitted.
-        """
-        return {
-            tenant: self.admission.queues[tenant].admitted_total
-            for tenant in sorted(self.admission.queues)
-        }
-
     def ready(self) -> tuple[bool, list[str]]:
         """Readiness: serving, and no tenant stuck in a degraded hole."""
         reasons: list[str] = []
