@@ -3,10 +3,10 @@
 Regenerating the paper's evaluation (Figures 3–14, Table 3, the §6
 tuning grids) re-runs thousands of *deterministic* simulations whose
 inputs rarely change between invocations. This package makes those runs
-incremental: every batch entry point — ``simulate_trace``,
-``run_sweep``, ``GridSearch.run``, ``RandomSearch.run`` and the fleet
-runner — accepts a ``store=`` and short-circuits work whose inputs it
-has seen before.
+incremental: every batch entry point — ``run_sweep``,
+``BatchEngine.run``, ``GridSearch.run``, ``RandomSearch.run`` and the
+fleet runner — accepts a ``store=`` and short-circuits work whose inputs
+it has seen before.
 
 Three modules:
 
@@ -16,11 +16,12 @@ Three modules:
   and fault specs (dataclass fields are enumerated reflectively, so new
   config knobs widen the key automatically).
 - :mod:`repro.store.cas` — the on-disk store: atomic ``os.replace``
-  blobs with per-blob checksums, an fsynced append-only index, an
-  in-memory LRU front, corruption-degrades-to-miss semantics and
-  size-budgeted GC.
-- :mod:`repro.store.memo` — ``cached_simulate`` / ``cached_trial``, the
-  wrappers the entry-point seams call.
+  blobs with per-blob checksums, an fsynced append-only index,
+  corruption-degrades-to-miss semantics and size-budgeted GC. Every
+  hit reads and checksums its blob; there is no in-memory front.
+- :mod:`repro.store.memo` — ``memoize``, the one probe / compute the
+  misses / write-back path every entry-point seam calls, and its
+  one-run wrappers ``cached_simulate`` / ``cached_trial``.
 
 The acceptance bar is byte-identity: a cache hit decodes to results
 whose :func:`~repro.fleet.codec.canonical_json` equals recomputation's,

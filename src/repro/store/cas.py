@@ -135,9 +135,9 @@ class ResultStore:
         Store directory (created on first write); defaults to
         :func:`default_store_root`.
     max_bytes:
-        Optional size budget. When set, :meth:`gc` (called by the batch
-        entry points after a run) evicts least-recently-written blobs
-        until the store fits.
+        Optional size budget. When set, :meth:`gc` (called by the fleet
+        runner after a run) evicts least-recently-written blobs until
+        the store fits.
 
     Telemetry goes to the ``observer=`` each call passes.
     """
