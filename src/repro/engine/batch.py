@@ -230,7 +230,7 @@ class BatchEngine:
         (:func:`repro.store.keys.simulate_key`), so batch results and
         scalar results hit each other's cache entries.
         """
-        from ..store.memo import memoize
+        from ..store.memo import memoize, producer_trace_id
 
         jobs = list(jobs)
         start = time.perf_counter() if self.observer is not None else 0.0
@@ -242,7 +242,9 @@ class BatchEngine:
             scalar.extend(i for i in misses if not vectorizable(jobs[i].config))
             computed = {
                 i: simulate_trace(
-                    jobs[i].demand, CaasperRecommender(jobs[i].config), jobs[i].simulator
+                    jobs[i].demand,
+                    CaasperRecommender(jobs[i].config),
+                    jobs[i].simulator,
                 )
                 for i in scalar
             }
@@ -254,17 +256,14 @@ class BatchEngine:
             return [computed[index] for index in misses]
 
         keys: list[str | None] = [None] * len(jobs)
-        producers = [""] * len(jobs)
         if store is not None:
-            from ..obs.tracing import derive_trace_id, simulate_trace_name
             from ..store.keys import simulate_key
 
-            for index, job in enumerate(jobs):
-                probe = CaasperRecommender(job.config)
-                keys[index] = simulate_key(job.demand, probe, job.simulator)
-                producers[index] = derive_trace_id(
-                    0, simulate_trace_name(job.demand.name, job.name)
-                )
+            keys = [
+                simulate_key(job.demand, CaasperRecommender(job.config), job.simulator)
+                for job in jobs
+            ]
+        producers = [producer_trace_id(job.demand, job.name) for job in jobs]
         results = memoize(
             store, "simulate", keys, producers, compute, self.observer
         )

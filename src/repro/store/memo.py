@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..tuning.search import TrialResult
     from .cas import ResultStore
 
-__all__ = ["cached_simulate", "cached_trial", "memoize"]
+__all__ = ["cached_simulate", "cached_trial", "memoize", "producer_trace_id"]
 
 
 def memoize(
@@ -85,10 +85,10 @@ def memoize(
     return results
 
 
-def _producer_trace_id(demand: CpuTrace, recommender_name: str) -> str:
-    """The (seed=0, name) trace id ``simulate_trace`` opens its run
-    under, so the stamp matches the run whether or not an observer was
-    attached."""
+def producer_trace_id(demand: CpuTrace, recommender_name: str) -> str:
+    """The provenance stamp of one simulation's blob: the (seed=0, name)
+    trace id ``simulate_trace`` opens its run under, so the stamp
+    matches the run whether or not an observer was attached."""
     return derive_trace_id(0, simulate_trace_name(demand.name, recommender_name))
 
 
@@ -109,7 +109,7 @@ def cached_simulate(
         store,
         "simulate",
         [key],
-        [_producer_trace_id(demand, recommender.name)],
+        [producer_trace_id(demand, recommender.name)],
         lambda misses: [
             simulate_trace(demand, recommender, config, observer) for _ in misses
         ],
@@ -144,7 +144,7 @@ def cached_trial(
         store,
         "trial",
         [key],
-        [_producer_trace_id(demand, recommender.name)],
+        [producer_trace_id(demand, recommender.name)],
         compute,
         observer,
     )

@@ -95,7 +95,7 @@ def _engine_outcome(
     scalar paths to hit later.
     """
     from ..engine.jobs import EngineJob
-    from ..store.memo import memoize
+    from ..store.memo import memoize, producer_trace_id
 
     jobs = [
         EngineJob.from_config(demand, config, simulator_config) for config in configs
@@ -111,16 +111,11 @@ def _engine_outcome(
         ]
 
     keys: list[str | None] = [None] * len(configs)
-    producers = [""] * len(configs)
     if store is not None:
-        from ..obs.tracing import derive_trace_id, simulate_trace_name
         from ..store.keys import trial_key
 
-        for index, (config, job) in enumerate(zip(configs, jobs)):
-            keys[index] = trial_key(config, demand, simulator_config)
-            producers[index] = derive_trace_id(
-                0, simulate_trace_name(demand.name, job.name)
-            )
+        keys = [trial_key(config, demand, simulator_config) for config in configs]
+    producers = [producer_trace_id(demand, job.name) for job in jobs]
     trials = memoize(store, "trial", keys, producers, compute)
     return SearchOutcome(trials=tuple(trials))
 
