@@ -139,7 +139,11 @@ class ResultStore:
         runner after a run) evicts least-recently-written blobs until
         the store fits.
 
-    Telemetry goes to the ``observer=`` each call passes.
+    Telemetry goes to the ``observer=`` each call passes. The
+    ``store_bytes`` gauge an observed :meth:`put` reports is a running
+    total: seeded by one scan of the store, then moved by each write's
+    size change (:meth:`gc` and :meth:`clear` re-seed it). It is this
+    handle's view — writes by another process are not counted.
     """
 
     def __init__(
@@ -155,6 +159,8 @@ class ResultStore:
         self._stats_misses = 0
         self._stats_puts = 0
         self._stats_evictions = 0
+        #: Running blob-byte total for the gauge; ``None`` until seeded.
+        self._total_bytes: int | None = None
 
     # -- paths -----------------------------------------------------------------
 
@@ -229,6 +235,7 @@ class ResultStore:
                 path.unlink()
             except OSError:  # lint: disable=EXC001 - racing unlink is fine
                 pass
+            self._total_bytes = None  # re-seeded by the next observed put
             return "corrupt"
         return parsed
 
@@ -270,6 +277,12 @@ class ResultStore:
         }
         data = _canonical(header).encode("utf-8") + b"\n" + payload
         path = self._blob_path(key)
+        replaced = 0  # bytes of the blob this write replaces, if tracked
+        if self._total_bytes is not None:
+            try:
+                replaced = path.stat().st_size
+            except FileNotFoundError:
+                pass
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{key}.{os.getpid()}.tmp"
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
@@ -281,8 +294,12 @@ class ResultStore:
         os.replace(tmp, path)
         self._append_index(key, kind, len(data))
         self._stats_puts += 1
+        if self._total_bytes is not None:
+            self._total_bytes += len(data) - replaced
+        elif observer is not None:
+            self._total_bytes = self.total_bytes()  # the one seeding scan
         if observer is not None:
-            observer.store_bytes(self.total_bytes())
+            observer.store_bytes(self._total_bytes)
         return len(data)
 
     def _append_index(self, key: str, kind: str, nbytes: int) -> None:
@@ -416,6 +433,7 @@ class ResultStore:
                 )
         if evicted:
             self._rewrite_index(survivors)
+        self._total_bytes = None  # re-seeded by the next observed put
         if observer is not None:
             observer.store_bytes(self.total_bytes())
         return evicted
@@ -447,6 +465,7 @@ class ResultStore:
             self.index_path.unlink()
         except (FileNotFoundError, OSError):  # lint: disable=EXC001
             pass
+        self._total_bytes = None  # re-seeded by the next observed put
         return len(blobs)
 
     def verify(self) -> dict[str, Any]:

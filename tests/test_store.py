@@ -256,6 +256,45 @@ class TestObservability:
         assert snapshot["store_evictions_total"]["values"] == {"": 1.0}
         assert snapshot["store_bytes"]["values"][""] == 0.0
 
+    def test_observed_cold_sweep_scans_the_store_once(self, tmp_path, monkeypatch):
+        from repro.sim.sweep import run_sweep
+        from repro.trace import CpuTrace
+
+        scans = []
+        blob_files = ResultStore._blob_files
+
+        def counting(self):
+            scans.append(self.root)
+            return blob_files(self)
+
+        monkeypatch.setattr(ResultStore, "_blob_files", counting)
+        traces = [
+            CpuTrace.constant(1.5 + 0.25 * index, 120, f"scan-{index}")
+            for index in range(8)
+        ]
+        observer = Observer()
+        store = ResultStore(tmp_path / "cas")
+        run_sweep(traces, observer=observer, store=store)
+        assert store.stats.puts == 8
+        assert len(scans) <= 1
+        gauge = observer.metrics.snapshot()["store_bytes"]["values"][""]
+        assert gauge == store.total_bytes()
+
+    def test_store_bytes_gauge_follows_rewrites_and_clear(self, tmp_path):
+        observer = Observer()
+        store = ResultStore(tmp_path / "cas")
+
+        def gauge() -> float:
+            return observer.metrics.snapshot()["store_bytes"]["values"][""]
+
+        store.put(_key("a"), "simulate", {"x": 1}, observer=observer)
+        store.put(_key("b"), "simulate", {"x": 2})  # unobserved, still counted
+        store.put(_key("a"), "simulate", {"x": list(range(50))}, observer=observer)
+        assert gauge() == store.total_bytes()
+        store.clear()
+        store.put(_key("c"), "simulate", {"x": 3}, observer=observer)
+        assert gauge() == store.total_bytes()
+
 
 class TestDefaultRoot:
     def test_env_override(self, monkeypatch, tmp_path):
