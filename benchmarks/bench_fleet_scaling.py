@@ -15,7 +15,7 @@ import time
 
 from conftest import kcn_of, write_bench_json
 
-from repro.fleet import FleetRunner
+from repro.fleet import FleetRunner, sweep_outcome, sweep_plan
 from repro.fleet.codec import canonical_json, encode
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.trace import CpuTrace
@@ -50,9 +50,8 @@ def _sweep(traces, workers):
     config = SweepConfig(min_cores=2)
     if workers == 1:
         return run_sweep(traces, config=config)
-    return run_sweep(
-        traces, config=config, executor=FleetRunner(workers=workers)
-    )
+    plan = sweep_plan(traces, config=config)
+    return sweep_outcome(FleetRunner(workers=workers).run(plan).require_success())
 
 
 def test_fleet_scaling(once):

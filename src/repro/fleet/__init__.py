@@ -20,9 +20,9 @@ Crash safety comes from the append-only JSONL checkpoint journal
 (:mod:`repro.fleet.journal`): re-running an interrupted plan with
 ``resume=True`` skips completed jobs and converges on the same outcome.
 
-Entry points: :class:`FleetRunner` + :class:`FleetPlan` directly, the
-``executor=`` seam on :func:`repro.sim.sweep.run_sweep` and the tuning
-searches, or the ``caasper fleet`` CLI.
+Entry points: :class:`FleetRunner` over a :class:`FleetPlan`, built
+directly or by the plan builders (:func:`sweep_plan`, :func:`trial_plan`,
+:func:`chaos_plan`), or the ``caasper fleet`` CLI.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .jobs import (
     derive_job_seed,
 )
 from .journal import FleetJournal
-from .plans import chaos_plan, sweep_outcome, sweep_plan
+from .plans import chaos_plan, sweep_outcome, sweep_plan, trial_outcome, trial_plan
 from .relay import WorkerTelemetry, collect, replay, worker_observer
 from .runner import FleetOutcome, FleetRunner
 
@@ -67,5 +67,7 @@ __all__ = [
     "replay",
     "sweep_outcome",
     "sweep_plan",
+    "trial_outcome",
+    "trial_plan",
     "worker_observer",
 ]

@@ -27,6 +27,7 @@ from ..core.config import CaasperConfig, RoundingMode
 from ..errors import FleetError
 from ..sim.metrics import SimulationMetrics
 from ..sim.results import ScalingEvent, SimulationResult
+from ..tuning.search import TrialResult
 from .jobs import JobFailure
 
 __all__ = ["encode", "decode", "canonical_json", "decode_json"]
@@ -88,10 +89,6 @@ def encode(value: Any) -> Any:
             "traceback": value.traceback,
             "failure_kind": value.failure_kind,
         }
-    # TrialResult is imported lazily: tuning imports fleet for its
-    # executor seam, so a module-level import here would be circular.
-    from ..tuning.search import TrialResult
-
     if isinstance(value, TrialResult):
         return {
             _TAG: "trial_result",
@@ -159,8 +156,6 @@ def decode(value: Any) -> Any:
             failure_kind=value["failure_kind"],
         )
     if tag == "trial_result":
-        from ..tuning.search import TrialResult
-
         return TrialResult(
             config=decode(value["config"]),
             total_slack=value["total_slack"],

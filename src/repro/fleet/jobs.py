@@ -118,6 +118,16 @@ class FleetJob(ABC):
         """
         return None
 
+    def producer_trace_id(self, seed: int) -> str:
+        """Provenance stamp of this job's stored result.
+
+        The id of the run trace the job's execution opens, derived from
+        the job's inputs alone, so a blob's bytes never depend on worker
+        count or on whether the run was observed. Cacheable jobs
+        override it; ``""`` (the default) stamps nothing.
+        """
+        return ""
+
 
 @dataclass(frozen=True)
 class SimulateJob(FleetJob):
@@ -163,6 +173,11 @@ class SimulateJob(FleetJob):
         from ..store.keys import simulate_key
 
         return simulate_key(self.trace, self.recommender, self.simulator)
+
+    def producer_trace_id(self, seed: int) -> str:
+        from ..store.memo import producer_trace_id
+
+        return producer_trace_id(self.trace, self.recommender.name)
 
 
 @dataclass(frozen=True)
@@ -210,6 +225,12 @@ class TrialJob(FleetJob):
         from ..store.keys import trial_key
 
         return trial_key(self.config, self.demand, self.simulator)
+
+    def producer_trace_id(self, seed: int) -> str:
+        from ..core.recommender import CaasperRecommender
+        from ..store.memo import producer_trace_id
+
+        return producer_trace_id(self.demand, CaasperRecommender(self.config).name)
 
 
 @dataclass(frozen=True)
@@ -294,6 +315,15 @@ class ChaosJob(FleetJob):
         from ..store.keys import chaos_key
 
         return chaos_key(self.trace, self.scenario, self.recommender_config, seed)
+
+    def producer_trace_id(self, seed: int) -> str:
+        """The ``live:`` trace id :func:`~repro.sim.live.simulate_live`
+        opens: its fault plan, and so its trace, is seeded with ``seed``."""
+        from ..core.recommender import CaasperRecommender
+        from ..obs.tracing import derive_trace_id, live_trace_name
+
+        name = CaasperRecommender(self.recommender_config).name
+        return derive_trace_id(seed, live_trace_name(self.trace.name, name))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ These helpers translate the repo's three batch workloads — multi-trace
 sweeps (:mod:`repro.sim.sweep`), tuning searches (:mod:`repro.tuning`)
 and chaos scenario runs (:mod:`repro.faults`) — into
 :class:`~repro.fleet.jobs.FleetPlan`\\ s, and translate fleet outcomes
-back into the outcome types those runners already produce. The round
-trip is exact: ``sweep_outcome(runner.run(sweep_plan(traces)))`` equals
-``run_sweep(traces)`` bit-for-bit.
+back into the outcome types those runners already produce. They are
+the one way to fan a batch out across processes. The round trip is
+exact: ``sweep_outcome(runner.run(sweep_plan(traces)))`` equals
+``run_sweep(traces)`` bit-for-bit, and
+``trial_outcome(runner.run(trial_plan(configs, demand, simulator)))``
+equals the serial search over the same configs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Sequence
 from ..core.config import CaasperConfig
 from ..errors import FleetError
 from ..sim.results import SimulationResult
+from ..sim.simulator import SimulatorConfig
 from ..sim.sweep import (
     RecommenderFactory,
     SweepConfig,
@@ -24,10 +28,11 @@ from ..sim.sweep import (
     sweep_entry,
 )
 from ..trace import CpuTrace
-from .jobs import ChaosJob, FleetPlan, SimulateJob
+from ..tuning.search import SearchOutcome, TrialResult
+from .jobs import ChaosJob, FleetPlan, SimulateJob, TrialJob
 from .runner import FleetOutcome
 
-__all__ = ["sweep_plan", "sweep_outcome", "chaos_plan"]
+__all__ = ["sweep_plan", "sweep_outcome", "trial_plan", "trial_outcome", "chaos_plan"]
 
 
 def sweep_plan(
@@ -74,6 +79,46 @@ def sweep_outcome(outcome: FleetOutcome) -> SweepOutcome:
             )
         results[job_id] = sweep_entry(job_id, result)
     return SweepOutcome(results=results)
+
+
+def trial_plan(
+    configs: Sequence[CaasperConfig],
+    demand: CpuTrace,
+    simulator: SimulatorConfig,
+    name: str = "trial",
+    seed: int = 0,
+) -> FleetPlan:
+    """One :class:`~repro.fleet.jobs.TrialJob` per tuning config.
+
+    Job ids are positional (``<name>-00042``), so the merged trials keep
+    the order of ``configs`` — the order a serial
+    :class:`~repro.tuning.search.RandomSearch` or
+    :class:`~repro.tuning.grid.GridSearch` run produces.
+    """
+    jobs = tuple(
+        TrialJob(
+            job_id=f"{name}-{index:05d}",
+            config=config,
+            demand=demand,
+            simulator=simulator,
+        )
+        for index, config in enumerate(configs)
+    )
+    return FleetPlan(jobs=jobs, name=name, seed=seed)
+
+
+def trial_outcome(outcome: FleetOutcome) -> SearchOutcome:
+    """Merge a trial plan's fleet outcome into a :class:`SearchOutcome`,
+    trials in plan (config) order."""
+    trials: list[TrialResult] = []
+    for job_id, trial in outcome.results().items():
+        if not isinstance(trial, TrialResult):
+            raise FleetError(
+                f"job {job_id!r} did not return a TrialResult "
+                f"(got {type(trial).__name__}); was this a trial plan?"
+            )
+        trials.append(trial)
+    return SearchOutcome(trials=tuple(trials))
 
 
 def chaos_plan(

@@ -51,56 +51,14 @@ __all__ = ["FleetRunner", "FleetOutcome"]
 #: cgroup limit) looping forever.
 _MAX_POOL_REBUILDS = 3
 
-#: Per-process cache of worker-side store handles, keyed by root path.
-#: Workers write results back through the same atomic blob path the
-#: parent reads, so concurrent writers (including the parent) are safe.
-_WORKER_STORES: dict[str, "ResultStore"] = {}
-
-
-def _worker_store(root: str) -> "ResultStore":
-    """The (cached) store handle for ``root`` in this process."""
-    store = _WORKER_STORES.get(root)
-    if store is None:
-        from ..store.cas import ResultStore
-
-        store = ResultStore(root)
-        _WORKER_STORES[root] = store
-    return store
-
-
-def _producer_trace_id(telemetry: WorkerTelemetry | None) -> str:
-    """Trace id of the run that produced a job result (for provenance).
-
-    Every traced job execution opens exactly one run trace, so the first
-    ``trace_started`` event in the worker's telemetry identifies the
-    producing run. Untraced executions (no observer) yield ``""`` — the
-    blob is still written, just without a producer stamp.
-    """
-    if telemetry is None:
-        return ""
-    for payload in telemetry.events:
-        if payload.get("kind") == "trace_started":
-            return str(payload.get("trace_id", ""))
-    return ""
-
-
 def _execute_job(
-    job: FleetJob,
-    seed: int,
-    capture_telemetry: bool,
-    store_root: str | None = None,
-    store_key: str | None = None,
+    job: FleetJob, seed: int, capture_telemetry: bool
 ) -> tuple[str, str, object, JobFailure | None, WorkerTelemetry | None, float]:
     """Worker-side entry point: run one job, capture crash or result.
 
     Module-level so spawn workers can unpickle a reference to it. The
     broad except is the failure-isolation seam — any job exception must
     become a typed record, never a worker crash.
-
-    ``store_root``/``store_key`` (both set or neither) write a
-    successful result back to the result store; write-back is best
-    effort — a full disk or unencodable result degrades to uncached,
-    never to a failed job.
     """
     observer = worker_observer() if capture_telemetry else None
     start = time.perf_counter()
@@ -121,16 +79,6 @@ def _execute_job(
         return (job.job_id, "failed", None, failure, telemetry, elapsed)
     elapsed = time.perf_counter() - start
     telemetry = collect(job.job_id, observer) if observer is not None else None
-    if store_root is not None and store_key is not None:
-        try:
-            _worker_store(store_root).put(
-                store_key,
-                job.kind,
-                result,
-                producer_trace_id=_producer_trace_id(telemetry),
-            )
-        except Exception:  # lint: disable=EXC001 - write-back is best effort
-            pass
     return (job.job_id, "ok", result, None, telemetry, elapsed)
 
 
@@ -229,9 +177,10 @@ class FleetRunner:
         Optional :class:`~repro.store.cas.ResultStore`. Cacheable jobs
         (those with a :meth:`~repro.fleet.jobs.FleetJob.store_key`)
         that hit the store short-circuit *before* process dispatch —
-        recorded as ``ok`` with zero elapsed seconds — and workers
-        write missing results back through the store's atomic blob
-        path. After the run, a size-budgeted store is GC'd.
+        recorded as ``ok`` with zero elapsed seconds — and the parent
+        writes every other ``ok`` result back as its outcome settles,
+        stamped with :meth:`~repro.fleet.jobs.FleetJob.producer_trace_id`.
+        After the run, a size-budgeted store is GC'd.
     """
 
     def __init__(
@@ -264,40 +213,6 @@ class FleetRunner:
         self.max_in_flight = max_in_flight or workers * 2
         self.store = store
 
-    def with_observer(self, observer: Observer | None) -> "FleetRunner":
-        """A copy of this runner bound to ``observer``.
-
-        The ``executor=`` seams (:func:`repro.sim.sweep.run_sweep` et
-        al.) use this to honour their own ``observer=`` argument without
-        mutating the caller's runner.
-        """
-        if observer is self.observer:
-            return self
-        return FleetRunner(
-            workers=self.workers,
-            job_timeout_seconds=self.job_timeout_seconds,
-            journal_path=self.journal_path,
-            resume=self.resume,
-            observer=observer,
-            max_in_flight=self.max_in_flight,
-            store=self.store,
-        )
-
-    def with_store(self, store: "ResultStore | None") -> "FleetRunner":
-        """A copy of this runner bound to ``store`` (same pattern as
-        :meth:`with_observer`, used by the ``store=`` seams)."""
-        if store is self.store:
-            return self
-        return FleetRunner(
-            workers=self.workers,
-            job_timeout_seconds=self.job_timeout_seconds,
-            journal_path=self.journal_path,
-            resume=self.resume,
-            observer=self.observer,
-            max_in_flight=self.max_in_flight,
-            store=store,
-        )
-
     # -- public API ---------------------------------------------------
 
     def run(self, plan: FleetPlan) -> FleetOutcome:
@@ -318,14 +233,19 @@ class FleetRunner:
         )
         try:
             with tracing:
+                # Plan positions, computed once per run: they order the
+                # merge and number the progress events.
+                positions = {
+                    job_id: index for index, job_id in enumerate(plan.job_ids())
+                }
                 restored = journal.completed() if journal is not None else {}
                 pending = [job for job in plan if job.job_id not in restored]
                 if self.workers == 1:
-                    computed = self._run_serial(plan, pending, journal)
+                    computed = self._run_serial(plan, positions, pending, journal)
                 else:
-                    computed = self._run_parallel(plan, pending, journal)
+                    computed = self._run_parallel(plan, positions, pending, journal)
                 merged = {**restored, **computed}
-                records = tuple(merged[job_id] for job_id in plan.job_ids())
+                records = tuple(merged[job_id] for job_id in positions)
                 if self.store is not None and self.store.max_bytes is not None:
                     self.store.gc(observer=self.observer)
                 return FleetOutcome(plan, records, self.workers)
@@ -338,62 +258,78 @@ class FleetRunner:
     def _run_serial(
         self,
         plan: FleetPlan,
+        positions: dict[str, int],
         pending: list[FleetJob],
         journal: FleetJournal | None,
     ) -> dict[str, JobRecord]:
         records: dict[str, JobRecord] = {}
         capture = self.observer is not None
         for job in pending:
-            self._emit_started(plan, job)
+            self._emit_started(positions, job)
             seed = plan.seed_for(job)
-            key = self._cache_key(job, seed)
-            hit = self._cache_get(job, key)
+            key, hit = self._probe(job, seed)
             if hit is not None:
                 outcome = (job.job_id, "ok", hit, None, None, 0.0)
             else:
                 outcome = _execute_job(job, seed, capture)
-                if key is not None and outcome[1] == "ok":
-                    self._cache_put(
-                        key, job.kind, outcome[2], _producer_trace_id(outcome[4])
-                    )
-            record = self._merge_one(plan, outcome, journal)
+            self._settle(plan, job, key, outcome, journal)
+            record = self._merge_one(positions, outcome)
             records[record.job_id] = record
         return records
 
-    # -- store shortcut -----------------------------------------------
+    # -- store and journal --------------------------------------------
 
-    def _cache_key(self, job: FleetJob, seed: int) -> str | None:
-        if self.store is None:
-            return None
-        return job.store_key(seed)
+    def _probe(self, job: FleetJob, seed: int) -> tuple[str | None, object]:
+        """``(write-back key, store hit)`` of a job at dispatch.
 
-    def _cache_get(self, job: FleetJob, key: str | None) -> object | None:
-        if key is None or self.store is None:
-            return None
-        return self.store.get(key, job.kind, observer=self.observer)
+        A hit comes back with no key (it is not written again); a miss
+        with its key. Without a store, or for an uncacheable job, both
+        are ``None``.
+        """
+        if self.store is None or (key := job.store_key(seed)) is None:
+            return None, None
+        hit = self.store.get(key, job.kind, observer=self.observer)
+        return (None, hit) if hit is not None else (key, None)
 
-    def _cache_put(
-        self, key: str, kind: str, result: object, producer_trace_id: str = ""
+    def _settle(
+        self,
+        plan: FleetPlan,
+        job: FleetJob,
+        key: str | None,
+        outcome: tuple,
+        journal: FleetJournal | None,
     ) -> None:
-        """Parent-side write-back (serial path); best effort only."""
-        if self.store is None:
-            return
-        try:
-            self.store.put(
-                key,
-                kind,
-                result,
-                observer=self.observer,
-                producer_trace_id=producer_trace_id,
-            )
-        except Exception:  # lint: disable=EXC001 - write-back is best effort
-            pass
+        """Checkpoint one outcome the moment it is known.
+
+        Both paths call this in *completion* order — crash recovery must
+        not wait for the run to finish; the plan-order merge handles
+        telemetry replay and events. An ``ok`` result with a write-back
+        ``key`` goes to the store before the outcome goes to the
+        journal, stamped with the job's input-derived producer trace id.
+        Write-back is best effort: a full disk or unencodable result
+        degrades to uncached, never to a failed job. The journal is
+        keyed by job id, so restore order is irrelevant.
+        """
+        if key is not None and self.store is not None and outcome[1] == "ok":
+            try:
+                self.store.put(
+                    key,
+                    job.kind,
+                    outcome[2],
+                    observer=self.observer,
+                    producer_trace_id=job.producer_trace_id(plan.seed_for(job)),
+                )
+            except Exception:  # lint: disable=EXC001 - write-back is best effort
+                pass
+        if journal is not None:
+            journal.record(self._record_from(outcome))
 
     # -- parallel path ------------------------------------------------
 
     def _run_parallel(
         self,
         plan: FleetPlan,
+        positions: dict[str, int],
         pending: list[FleetJob],
         journal: FleetJournal | None,
     ) -> dict[str, JobRecord]:
@@ -402,49 +338,35 @@ class FleetRunner:
         queue = list(pending)  # plan order; dispatched front-first
         pool = self._new_pool()
         rebuilds = 0
-        # future -> (job, submit-time deadline)
-        in_flight: dict[Future[object], tuple[FleetJob, float | None]] = {}
+        # future -> (job, write-back key, submit-time deadline)
+        in_flight: dict[
+            Future[object], tuple[FleetJob, str | None, float | None]
+        ] = {}
         outcomes: dict[str, tuple] = {}
-        def settle(job_id: str, outcome: tuple) -> None:
-            """Record an outcome and checkpoint it immediately.
 
-            Journaling happens in *completion* order (crash recovery
-            must not wait for the run to finish); the deterministic
-            plan-order pass below handles telemetry replay and events.
-            The journal is keyed by job id, so restore order is
-            irrelevant.
-            """
-            outcomes[job_id] = outcome
-            if journal is not None:
-                journal.record(self._record_from(outcome))
+        def settle(job: FleetJob, outcome: tuple, key: str | None = None) -> None:
+            outcomes[job.job_id] = outcome
+            self._settle(plan, job, key, outcome, journal)
 
         try:
             while queue or in_flight:
                 while queue and len(in_flight) < self.max_in_flight:
                     job = queue.pop(0)
-                    self._emit_started(plan, job)
+                    self._emit_started(positions, job)
                     seed = plan.seed_for(job)
-                    key = self._cache_key(job, seed)
-                    hit = self._cache_get(job, key)
+                    key, hit = self._probe(job, seed)
                     if hit is not None:
                         # Short-circuit before process dispatch: the
                         # cached result never crosses a pool boundary.
-                        settle(job.job_id, (job.job_id, "ok", hit, None, None, 0.0))
+                        settle(job, (job.job_id, "ok", hit, None, None, 0.0))
                         continue
-                    store_root = (
-                        str(self.store.root)
-                        if key is not None and self.store is not None
-                        else None
-                    )
-                    future = pool.submit(
-                        _execute_job, job, seed, capture, store_root, key
-                    )
+                    future = pool.submit(_execute_job, job, seed, capture)
                     deadline = (
                         time.monotonic() + self.job_timeout_seconds
                         if self.job_timeout_seconds is not None
                         else None
                     )
-                    in_flight[future] = (job, deadline)
+                    in_flight[future] = (job, key, deadline)
                 if not in_flight:
                     continue
                 timeout = self._next_wait(in_flight)
@@ -456,7 +378,7 @@ class FleetRunner:
                     entry = in_flight.pop(future, None)
                     if entry is None:  # dropped by an earlier rebuild
                         continue
-                    job = entry[0]
+                    job, key, _ = entry
                     error = future.exception()
                     if isinstance(error, BrokenProcessPool):
                         # The worker died without returning (OOM kill,
@@ -464,14 +386,14 @@ class FleetRunner:
                         # this pool is poisoned too — requeue those
                         # jobs (deterministic and not yet settled) and
                         # rebuild below.
-                        settle(job.job_id, self._broken_outcome(job))
+                        settle(job, self._broken_outcome(job))
                         pool_broke = True
                     elif error is not None:
                         # _execute_job captures job exceptions itself,
                         # so an error here is infrastructure-level
                         # (e.g. the result failed to unpickle).
                         settle(
-                            job.job_id,
+                            job,
                             (
                                 job.job_id,
                                 "failed",
@@ -487,17 +409,17 @@ class FleetRunner:
                             ),
                         )
                     else:
-                        settle(job.job_id, future.result())
+                        settle(job, future.result(), key)
                 expired = [] if pool_broke else self._expired(in_flight)
                 for future in expired:
                     # Deadlines can only be enforced by killing the
                     # worker processes; pool workers share fate, so the
                     # pool is rebuilt below and the unexpired in-flight
                     # jobs requeued.
-                    job, _ = in_flight.pop(future)
-                    settle(job.job_id, self._timeout_outcome(job))
+                    job = in_flight.pop(future)[0]
+                    settle(job, self._timeout_outcome(job))
                 if pool_broke or expired:
-                    queue = [j for j, _ in in_flight.values()] + queue
+                    queue = [entry[0] for entry in in_flight.values()] + queue
                     in_flight.clear()
                     self._kill_pool_processes(pool)
                     pool.shutdown(wait=False, cancel_futures=True)
@@ -515,7 +437,7 @@ class FleetRunner:
         # Merge in plan order — completion order must not matter for
         # the outcome, the parent-side event stream, or the metrics.
         for job in pending:
-            record = self._merge_one(plan, outcomes[job.job_id], journal)
+            record = self._merge_one(positions, outcomes[job.job_id])
             records[record.job_id] = record
         return records
 
@@ -547,22 +469,23 @@ class FleetRunner:
                 pass
 
     def _next_wait(
-        self, in_flight: dict[Future[object], tuple[FleetJob, float | None]]
+        self,
+        in_flight: dict[Future[object], tuple[FleetJob, str | None, float | None]],
     ) -> float | None:
         """Seconds until the nearest in-flight deadline (None: no cap)."""
-        deadlines = [d for _, d in in_flight.values() if d is not None]
+        deadlines = [d for *_, d in in_flight.values() if d is not None]
         if not deadlines:
             return None
         return max(0.05, min(deadlines) - time.monotonic())
 
     @staticmethod
     def _expired(
-        in_flight: dict[Future[object], tuple[FleetJob, float | None]]
+        in_flight: dict[Future[object], tuple[FleetJob, str | None, float | None]],
     ) -> list[Future[object]]:
         now = time.monotonic()
         return [
             future
-            for future, (_, deadline) in in_flight.items()
+            for future, (*_, deadline) in in_flight.items()
             if deadline is not None and now >= deadline
         ]
 
@@ -601,9 +524,7 @@ class FleetRunner:
 
     # -- merge --------------------------------------------------------
 
-    def _merge_one(
-        self, plan: FleetPlan, outcome: tuple, journal: FleetJournal | None
-    ) -> JobRecord:
+    def _merge_one(self, positions: dict[str, int], outcome: tuple) -> JobRecord:
         job_id, status, result, failure, telemetry, elapsed = outcome
         record = JobRecord(
             job_id=job_id,
@@ -614,7 +535,7 @@ class FleetRunner:
         )
         if self.observer is not None and telemetry is not None:
             replay(telemetry, self.observer)
-        index = plan.job_ids().index(job_id)
+        index = positions[job_id]
         if status == "ok":
             if self.observer is not None:
                 self.observer.emit(
@@ -632,15 +553,14 @@ class FleetRunner:
                         failure_kind=failure.failure_kind if failure else "exception",
                     )
                 )
-        if journal is not None:
-            journal.record(record)
         return record
 
-    def _emit_started(self, plan: FleetPlan, job: FleetJob) -> None:
+    def _emit_started(self, positions: dict[str, int], job: FleetJob) -> None:
         if self.observer is not None:
-            index = plan.job_ids().index(job.job_id)
             self.observer.emit(
                 FleetJobStartedEvent(
-                    minute=index, job_id=job.job_id, workers=self.workers
+                    minute=positions[job.job_id],
+                    job_id=job.job_id,
+                    workers=self.workers,
                 )
             )

@@ -32,7 +32,6 @@ from .simulator import simulate_trace  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchEngine
-    from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
 __all__ = ["SweepConfig", "SweepOutcome", "run_sweep", "sweep_entry"]
@@ -70,11 +69,16 @@ class SweepConfig:
         if self.headroom_factor < 1.0:
             raise SimulationError("headroom_factor must be >= 1")
 
-    def simulator_for(self, trace: CpuTrace) -> SimulatorConfig:
-        """Per-trace simulator environment."""
-        max_cores = max(
+    def max_cores_for(self, trace: CpuTrace) -> int:
+        """Per-trace core ceiling: ``ceil(peak × headroom_factor)``,
+        floored at ``min_cores + 1``."""
+        return max(
             self.min_cores + 1, int(math.ceil(trace.peak() * self.headroom_factor))
         )
+
+    def simulator_for(self, trace: CpuTrace) -> SimulatorConfig:
+        """Per-trace simulator environment."""
+        max_cores = self.max_cores_for(trace)
         initial = min(
             max_cores,
             max(self.min_cores, int(math.ceil(trace.samples[: 60].mean()))),
@@ -152,20 +156,16 @@ def default_recommender_factory(
 ) -> RecommenderFactory:
     """CaaSPER with the per-trace ceiling wired into its config.
 
-    The recommender's ceiling follows the *sweep's* sizing rule —
-    ``max(min_cores + 1, ceil(peak × headroom_factor))`` — so the
-    recommender and the simulator guardrails always agree, including for
-    non-default :class:`SweepConfig` values (this used to hardcode the
-    default ``1.3`` headroom and a floor of 2).
+    The recommender's ceiling is the sweep's own
+    (:meth:`SweepConfig.max_cores_for`), so the recommender and the
+    simulator guardrails always agree, including for non-default
+    :class:`SweepConfig` values.
     """
     base = base or CaasperConfig()
     sweep = config or SweepConfig()
 
     def factory(trace: CpuTrace) -> Recommender:
-        max_cores = max(
-            sweep.min_cores + 1,
-            int(math.ceil(trace.peak() * sweep.headroom_factor)),
-        )
+        max_cores = sweep.max_cores_for(trace)
         recommender_config = base.with_updates(
             max_cores=max_cores, c_min=min(base.c_min, max_cores)
         )
@@ -195,7 +195,6 @@ def run_sweep(
     config: SweepConfig | None = None,
     recommender_factory: RecommenderFactory | None = None,
     observer: Observer | None = None,
-    executor: "FleetRunner | None" = None,
     store: "ResultStore | None" = None,
     engine: "BatchEngine | None" = None,
 ) -> SweepOutcome:
@@ -213,28 +212,21 @@ def run_sweep(
     observer:
         Optional telemetry sink shared across every per-trace run; each
         trace additionally gets a ``sweep.trace.<name>`` timing span.
-        With an ``executor`` the runner is bound to this observer
-        (worker telemetry replays into it in plan order), overriding
-        any observer the runner was constructed with.
-    executor:
-        Optional :class:`~repro.fleet.runner.FleetRunner` to shard the
-        per-trace simulations across worker processes. ``None`` (the
-        default) runs serially in-process; the parallel outcome is
-        bit-identical to the serial one for any worker count.
     store:
         Optional :class:`~repro.store.cas.ResultStore` memoising the
         per-trace simulations. Previously computed traces short-circuit
-        (byte-identical decoded results); with an ``executor`` the
-        runner is rebound to this store and hits skip process dispatch
-        entirely. ``store=None`` is exactly the uncached behaviour.
+        (byte-identical decoded results). ``store=None`` is exactly the
+        uncached behaviour.
     engine:
         Optional :class:`~repro.engine.batch.BatchEngine` stepping every
         engine-eligible trace in one vectorized batch (byte-identical
-        results, see ``docs/ENGINE.md``). Only used on the serial
-        in-process path — an ``executor`` runs one scalar job per trace
-        instead. Ineligible recommenders fall back per trace. Passing
-        an ``observer`` too raises :class:`~repro.errors.ConfigError`:
-        per-minute telemetry and per-trace spans need the scalar loop.
+        results, see ``docs/ENGINE.md``). Ineligible recommenders fall
+        back per trace. Passing an ``observer`` too raises
+        :class:`~repro.errors.ConfigError`: per-minute telemetry and
+        per-trace spans need the scalar loop.
+
+    Worker processes take the traces as a
+    :func:`~repro.fleet.plans.sweep_plan` instead.
     """
     if not traces:
         raise SimulationError("sweep needs at least one trace")
@@ -245,18 +237,6 @@ def run_sweep(
         raise ConfigError("run_sweep: engine= and observer= cannot be combined")
     config = config or SweepConfig()
     factory = recommender_factory or default_recommender_factory(config=config)
-
-    if executor is not None:
-        from ..fleet.plans import sweep_outcome, sweep_plan
-
-        if observer is not None:
-            executor = executor.with_observer(observer)
-        if store is not None:
-            executor = executor.with_store(store)
-        plan = sweep_plan(
-            traces, config=config, recommender_factory=factory
-        )
-        return sweep_outcome(executor.run(plan).require_success())
 
     from ..store.memo import cached_simulate
 

@@ -20,7 +20,6 @@ from .search import RandomSearch, SearchOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchEngine
-    from ..fleet.runner import FleetRunner
     from ..store.cas import ResultStore
 
 __all__ = ["GridSearch", "grid_configs"]
@@ -84,33 +83,19 @@ class GridSearch:
 
     def run(
         self,
-        executor: "FleetRunner | None" = None,
         store: "ResultStore | None" = None,
         engine: "BatchEngine | None" = None,
     ) -> SearchOutcome:
         """Evaluate every grid point (deterministic, no seed needed).
 
-        With an ``executor`` (a :class:`~repro.fleet.runner.FleetRunner`)
-        the grid points shard across worker processes; the outcome is
-        bit-identical to the serial run. A ``store`` memoises grid
-        points across invocations — re-running a grid that overlaps a
-        previous one only simulates the new cells. An ``engine`` (a
-        :class:`~repro.engine.batch.BatchEngine`) steps every grid
-        point as one vectorized batch — byte-identical again, and
-        composable with ``store``; ``executor`` wins when both are
-        given.
+        A ``store`` memoises grid points across invocations — re-running
+        a grid that overlaps a previous one only simulates the new
+        cells. An ``engine`` (a :class:`~repro.engine.batch.BatchEngine`)
+        steps every grid point as one vectorized batch — byte-identical
+        to the serial run, and composable with ``store``. Worker
+        processes take :attr:`configs` as a
+        :func:`~repro.fleet.plans.trial_plan` instead.
         """
-        if executor is not None:
-            from .search import _trial_outcome
-
-            return _trial_outcome(
-                self.configs,
-                self._driver.simulator_config,
-                self._driver.demand,
-                executor,
-                prefix="grid",
-                store=store,
-            )
         if engine is not None:
             from .search import _engine_outcome
 

@@ -27,56 +27,10 @@ from .space import ParameterSpace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.batch import BatchEngine
-    from ..fleet.runner import FleetRunner
     from ..sim.results import SimulationResult
     from ..store.cas import ResultStore
 
 __all__ = ["RandomSearch", "SearchOutcome", "TrialResult"]
-
-
-def _trial_outcome(
-    configs: list[CaasperConfig],
-    simulator_config: SimulatorConfig,
-    demand: CpuTrace,
-    executor: "FleetRunner",
-    prefix: str,
-    store: "ResultStore | None" = None,
-) -> SearchOutcome:
-    """Shard one config list across a fleet executor, in config order.
-
-    Shared by the random and grid drivers. Job ids are positional
-    (``<prefix>-00042``) so the merged trial tuple keeps the exact
-    order a serial run would produce. A ``store`` rebinds the executor
-    so previously evaluated configs short-circuit before dispatch.
-    """
-    from ..fleet.jobs import FleetPlan, TrialJob
-
-    if store is not None:
-        executor = executor.with_store(store)
-    plan = FleetPlan(
-        jobs=tuple(
-            TrialJob(
-                job_id=f"{prefix}-{index:05d}",
-                config=config,
-                demand=demand,
-                simulator=simulator_config,
-            )
-            for index, config in enumerate(configs)
-        ),
-        name=prefix,
-    )
-    outcome = executor.run(plan).require_success()
-    results = outcome.results()
-    trials = []
-    for job_id in plan.job_ids():
-        trial = results[job_id]
-        if not isinstance(trial, TrialResult):  # pragma: no cover - defensive
-            raise TuningError(
-                f"fleet job {job_id!r} returned {type(trial).__name__}, "
-                "expected TrialResult"
-            )
-        trials.append(trial)
-    return SearchOutcome(trials=tuple(trials))
 
 
 def _engine_outcome(
@@ -242,35 +196,21 @@ class RandomSearch:
         self,
         trials: int,
         seed: int = 0,
-        executor: "FleetRunner | None" = None,
         store: "ResultStore | None" = None,
         engine: "BatchEngine | None" = None,
     ) -> SearchOutcome:
         """Evaluate ``trials`` sampled configurations (deterministic).
 
-        With an ``executor`` (a :class:`~repro.fleet.runner.FleetRunner`)
-        the trials shard across worker processes; the outcome is
-        bit-identical to the serial run for any worker count. A
-        ``store`` memoises trials across invocations (and, with an
-        executor, short-circuits cached trials before dispatch). An
-        ``engine`` (a :class:`~repro.engine.batch.BatchEngine`) steps
-        every sampled config as one vectorized batch over the shared
-        demand trace — again byte-identical — and composes with
-        ``store`` under the same ``trial`` keys; ``executor`` wins when
-        both are given.
+        A ``store`` memoises trials across invocations. An ``engine``
+        (a :class:`~repro.engine.batch.BatchEngine`) steps every sampled
+        config as one vectorized batch over the shared demand trace —
+        byte-identical to the serial run — and composes with ``store``
+        under the same ``trial`` keys. Worker processes take the trials
+        as a :func:`~repro.fleet.plans.trial_plan` instead.
         """
         if trials < 1:
             raise TuningError(f"trials must be >= 1, got {trials}")
         configs = self.space.sample_many(trials, seed=seed)
-        if executor is not None:
-            return _trial_outcome(
-                list(configs),
-                self.simulator_config,
-                self.demand,
-                executor,
-                prefix="trial",
-                store=store,
-            )
         if engine is not None:
             return _engine_outcome(
                 list(configs),

@@ -28,6 +28,8 @@ from repro.fleet import (
     encode,
     sweep_outcome,
     sweep_plan,
+    trial_outcome,
+    trial_plan,
 )
 from repro.obs import Observer
 from repro.sim.results import ScalingEvent, SimulationResult
@@ -220,6 +222,27 @@ class TestSerialRunner:
             JobRecord(job_id="x", status="failed")  # missing failure
 
 
+class TestMergePositions:
+    def test_job_ids_listed_a_constant_number_of_times(self, monkeypatch):
+        calls = []
+        job_ids = FleetPlan.job_ids
+
+        def counting(self):
+            calls.append(len(self))
+            return job_ids(self)
+
+        monkeypatch.setattr(FleetPlan, "job_ids", counting)
+        for workers in (1, 2):
+            counts = []
+            for size in (5, 20):
+                calls.clear()
+                FleetRunner(workers=workers, observer=Observer()).run(
+                    probe_plan(*["ok"] * size)
+                )
+                counts.append(len(calls))
+            assert counts[0] == counts[1], f"workers={workers}: {counts}"
+
+
 class TestParallelRunner:
     def test_matches_serial(self):
         plan = probe_plan("ok", "ok", "ok", "ok", seed=5)
@@ -374,7 +397,9 @@ class TestObserverIntegration:
         serial_obs = Observer()
         run_sweep(traces, observer=serial_obs)
         fleet_obs = Observer()
-        run_sweep(traces, executor=FleetRunner(workers=2, observer=fleet_obs))
+        sweep_outcome(
+            FleetRunner(workers=2, observer=fleet_obs).run(sweep_plan(traces))
+        )
         # The parent-side event stream (minus the fleet progress events)
         # must be *identical* to the serial stream — same events, same
         # order — because telemetry replays grouped by job in plan
@@ -384,9 +409,9 @@ class TestObserverIntegration:
             for event in events:
                 if event.kind.startswith("fleet_"):
                     continue
-                # The fleet executor opens its own fleet-level trace;
+                # The fleet runner opens its own fleet-level trace;
                 # the serial path has no fleet, so that root event is
-                # executor-specific (job-level traces are identical).
+                # fleet-specific (job-level traces are identical).
                 if event.kind == "trace_started" and event.name.startswith(
                     "fleet:"
                 ):
@@ -408,42 +433,14 @@ class TestObserverIntegration:
         serial_obs = Observer()
         run_sweep(traces, observer=serial_obs)
         fleet_obs = Observer()
-        run_sweep(traces, executor=FleetRunner(workers=2, observer=fleet_obs))
+        sweep_outcome(
+            FleetRunner(workers=2, observer=fleet_obs).run(sweep_plan(traces))
+        )
         serial_decisions = serial_obs.metrics.snapshot().get(
             "decisions_total"
         )
         fleet_decisions = fleet_obs.metrics.snapshot().get("decisions_total")
         assert serial_decisions == fleet_decisions
-
-    def test_run_sweep_observer_binds_to_executor(self):
-        # Passing observer= to run_sweep must reach the fleet runner —
-        # a runner constructed without one gets bound via
-        # with_observer(), not silently ignored.
-        traces = small_traces(2)
-        serial_obs = Observer()
-        run_sweep(traces, observer=serial_obs)
-        fleet_obs = Observer()
-        run_sweep(traces, observer=fleet_obs, executor=FleetRunner(workers=2))
-        assert fleet_obs.metrics.snapshot().get(
-            "decisions_total"
-        ) == serial_obs.metrics.snapshot().get("decisions_total")
-        assert any(
-            event.kind == "fleet_job_finished"
-            for event in fleet_obs.ring.events
-        )
-
-    def test_with_observer_copies_settings(self):
-        runner = FleetRunner(
-            workers=3, job_timeout_seconds=9.0, max_in_flight=4
-        )
-        observer = Observer()
-        bound = runner.with_observer(observer)
-        assert bound is not runner
-        assert bound.observer is observer
-        assert runner.observer is None
-        assert (bound.workers, bound.job_timeout_seconds) == (3, 9.0)
-        assert bound.max_in_flight == 4
-        assert runner.with_observer(None) is runner
 
 
 class TestPlans:
@@ -458,9 +455,10 @@ class TestPlans:
         assert serial.aggregate() == merged.aggregate()
 
     def test_executor_seam_in_run_sweep(self):
+        # The process fan-out of a sweep is a sweep plan on a runner.
         traces = small_traces(2)
         serial = run_sweep(traces)
-        fleet = run_sweep(traces, executor=FleetRunner(workers=1))
+        fleet = sweep_outcome(FleetRunner(workers=2).run(sweep_plan(traces)))
         assert canonical_json(dict(serial.results)) == canonical_json(
             dict(fleet.results)
         )
@@ -489,7 +487,13 @@ class TestTuningSeam:
             trace, SimulatorConfig(initial_cores=3, max_cores=12)
         )
         serial = search.run(4, seed=2)
-        fleet = search.run(4, seed=2, executor=FleetRunner(workers=1))
+        plan = trial_plan(
+            search.space.sample_many(4, seed=2),
+            search.demand,
+            search.simulator_config,
+        )
+        assert [job.job_id for job in plan][:2] == ["trial-00000", "trial-00001"]
+        fleet = trial_outcome(FleetRunner(workers=1).run(plan))
         assert serial == fleet
 
     def test_grid_search_executor_matches_serial(self):
@@ -502,4 +506,10 @@ class TestTuningSeam:
             CaasperConfig(max_cores=12),
             {"window_minutes": [20, 40]},
         )
-        assert grid.run() == grid.run(executor=FleetRunner(workers=1))
+        plan = trial_plan(
+            grid.configs,
+            trace,
+            SimulatorConfig(initial_cores=3, max_cores=12),
+            name="grid",
+        )
+        assert grid.run() == trial_outcome(FleetRunner(workers=1).run(plan))

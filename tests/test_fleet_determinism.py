@@ -15,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import FleetPlan, FleetRunner, ProbeJob, canonical_json, sweep_plan
+from repro.fleet import (
+    FleetPlan,
+    FleetRunner,
+    ProbeJob,
+    canonical_json,
+    sweep_outcome,
+    sweep_plan,
+    trial_outcome,
+    trial_plan,
+)
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.trace import CpuTrace
 from repro.tuning.search import RandomSearch
@@ -46,8 +55,8 @@ class TestWorkerCountInvariance:
         serial = run_sweep(traces)
         reference = canonical_json(dict(serial.results))
         for workers in (1, 2, 4):
-            outcome = run_sweep(
-                traces, executor=FleetRunner(workers=workers)
+            outcome = sweep_outcome(
+                FleetRunner(workers=workers).run(sweep_plan(traces))
             )
             assert canonical_json(dict(outcome.results)) == reference, (
                 f"workers={workers} diverged from serial"
@@ -59,11 +68,13 @@ class TestWorkerCountInvariance:
             trace, SimulatorConfig(initial_cores=3, max_cores=12)
         )
         serial = search.run(4, seed=0)
+        plan = trial_plan(
+            search.space.sample_many(4, seed=0),
+            search.demand,
+            search.simulator_config,
+        )
         for workers in (1, 2, 4):
-            assert (
-                search.run(4, seed=0, executor=FleetRunner(workers=workers))
-                == serial
-            )
+            assert trial_outcome(FleetRunner(workers=workers).run(plan)) == serial
 
     def test_max_in_flight_does_not_change_results(self):
         traces = traces_for(seed=3)

@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import CaasperConfig
 from repro.core.recommender import CaasperRecommender
 from repro.faults.scenarios import make_scenario
-from repro.fleet import FleetRunner
+from repro.fleet import FleetRunner, sweep_plan
 from repro.obs import JsonlSink, Observer
 from repro.obs.events import (
     DecisionEvent,
@@ -36,7 +36,6 @@ from repro.report import (
 )
 from repro.sim.live import LiveSystemConfig, simulate_live
 from repro.sim.simulator import SimulatorConfig, simulate_trace
-from repro.sim.sweep import run_sweep
 from repro.trace import CpuTrace
 from repro.workloads.base import TraceWorkload
 from repro.workloads.synthetic import cyclical_days, noisy, square_wave
@@ -377,9 +376,7 @@ class TestFleetRollup:
     def test_fleet_report_rolls_up_runs_and_jobs(self):
         observer = Observer(ring_capacity=16384)
         traces = small_traces()
-        run_sweep(
-            traces, observer=observer, executor=FleetRunner(workers=2)
-        )
+        FleetRunner(workers=2, observer=observer).run(sweep_plan(traces))
         report = build_fleet_report(list(observer.ring))
         assert len(report.runs) == len(traces)
         assert len(report.fleet_traces) == 1
@@ -396,10 +393,8 @@ class TestFleetRollup:
         rendered = []
         for workers in (1, 2):
             observer = Observer(ring_capacity=16384)
-            run_sweep(
-                traces,
-                observer=observer,
-                executor=FleetRunner(workers=workers),
+            FleetRunner(workers=workers, observer=observer).run(
+                sweep_plan(traces)
             )
             rendered.append(
                 render_json(build_fleet_report(list(observer.ring)))

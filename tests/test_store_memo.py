@@ -10,6 +10,7 @@ fleet runner), every worker count, and interleaved hit/miss orders.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.core.config import CaasperConfig
 from repro.core.recommender import CaasperRecommender
-from repro.fleet import FleetRunner
+from repro.fleet import ChaosJob, FleetPlan, FleetRunner, SimulateJob, TrialJob
 from repro.fleet.codec import canonical_json, encode
 from repro.fleet.plans import sweep_outcome, sweep_plan
 from repro.obs import Observer
@@ -252,8 +253,8 @@ class TestFleetThroughStore:
             )
 
     def test_parallel_workers_write_back_through_the_store(self, tmp_path):
-        """A cold parallel run populates the store from the workers, so
-        a later serial run hits without ever having computed locally."""
+        """A cold parallel run writes every result back, so a later
+        serial run hits without ever having computed locally."""
         plan = self._plan()
         cold_store = ResultStore(tmp_path / "cas")
         cold = FleetRunner(workers=2, store=cold_store).run(plan)
@@ -284,6 +285,86 @@ class TestFleetThroughStore:
         assert len(observer.events_of_kind("cache_hit")) == 3
         snapshot = observer.metrics.snapshot()
         assert snapshot["store_hits_total"]["values"] == {'{kind="simulate"}': 3.0}
+
+
+def _blobs(store: ResultStore) -> dict[str, bytes]:
+    """Every blob's exact bytes, keyed by cache key."""
+    return {
+        path.stem: path.read_bytes() for path in store.objects_dir.rglob("*.json")
+    }
+
+
+def _stamp(blob: bytes) -> str:
+    """The producer trace id in a blob's header line."""
+    return json.loads(blob.partition(b"\n")[0])["provenance"]["trace_id"]
+
+
+class TestFleetProvenance:
+    """A fleet-written blob is stamped from the job's inputs: its bytes
+    do not depend on worker count, on observation, or on which entry
+    point wrote it."""
+
+    def _plan(self) -> FleetPlan:
+        demand = _trace("provenance", minutes=240)
+        jobs = (
+            SimulateJob(
+                job_id="simulate",
+                trace=demand,
+                recommender=_recommender(),
+                simulator=_sim_config(),
+            ),
+            TrialJob(
+                job_id="trial",
+                config=CaasperConfig(max_cores=16, s_high=2.0),
+                demand=demand,
+                simulator=_sim_config(),
+            ),
+            ChaosJob(job_id="chaos", trace=demand, scenario="flaky-actuation"),
+        )
+        return FleetPlan(jobs=jobs, name="provenance", seed=5)
+
+    def test_stamp_is_the_trace_an_observed_run_opens(self, tmp_path):
+        plan = self._plan()
+        store = ResultStore(tmp_path / "fleet")
+        FleetRunner(workers=1, store=store).run(plan).require_success()
+        blobs = _blobs(store)
+        for job in plan:
+            seed = plan.seed_for(job)
+            observer = Observer()
+            job.execute(seed, observer)
+            [started] = observer.events_of_kind("trace_started")
+            stamp = _stamp(blobs[job.store_key(seed)])
+            assert stamp == started.trace_id, job.kind
+            assert stamp == job.producer_trace_id(seed), job.kind
+
+    def test_simulate_and_trial_blobs_match_memoize(self, tmp_path):
+        plan = self._plan()
+        store = ResultStore(tmp_path / "fleet")
+        FleetRunner(workers=1, store=store).run(plan).require_success()
+        fleet = _blobs(store)
+        memo = ResultStore(tmp_path / "memo")
+        simulate, trial = plan.jobs[0], plan.jobs[1]
+        cached_simulate(
+            simulate.trace, _recommender(), simulate.simulator, store=memo
+        )
+        cached_trial(trial.config, trial.demand, trial.simulator, store=memo)
+        keys = [job.store_key(plan.seed_for(job)) for job in (simulate, trial)]
+        assert _blobs(memo) == {key: fleet[key] for key in keys}
+
+    def test_blob_bytes_independent_of_workers_and_observer(self, tmp_path):
+        plan = self._plan()
+        written = []
+        for workers in (1, 2):
+            for observed in (False, True):
+                store = ResultStore(tmp_path / f"w{workers}-{observed}")
+                FleetRunner(
+                    workers=workers,
+                    store=store,
+                    observer=Observer() if observed else None,
+                ).run(plan).require_success()
+                written.append(_blobs(store))
+        assert len(written[0]) == 3
+        assert all(blobs == written[0] for blobs in written)
 
 
 class TestInterleavedOrders:

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.fleet import FleetRunner
+from repro.fleet import FleetRunner, sweep_plan
 from repro.obs import (
     EVENT_SCHEMA_VERSION,
     JsonlSink,
@@ -232,7 +232,7 @@ class TestExporters:
 
 def job_level(events):
     """Job traces only: the fleet root and runner progress events are
-    executor-specific, everything else must match the serial run."""
+    fleet-specific, everything else must match the serial run."""
     return [
         event
         for event in events
@@ -253,11 +253,7 @@ class TestFleetByteIdentity:
         assert reference, "serial sweep stamped no events"
         for workers in (1, 2, 4):
             observer = Observer()
-            run_sweep(
-                traces,
-                observer=observer,
-                executor=FleetRunner(workers=workers),
-            )
+            FleetRunner(workers=workers, observer=observer).run(sweep_plan(traces))
             rendered = render_trace_jsonl(job_level(list(observer.ring)))
             assert rendered == reference, (
                 f"workers={workers} trace diverged from serial"
@@ -265,10 +261,8 @@ class TestFleetByteIdentity:
 
     def test_fleet_root_trace_present_but_excluded(self):
         observer = Observer()
-        run_sweep(
-            small_traces(count=2),
-            observer=observer,
-            executor=FleetRunner(workers=2),
+        FleetRunner(workers=2, observer=observer).run(
+            sweep_plan(small_traces(count=2))
         )
         started = observer.events_of_kind("trace_started")
         names = {event.name for event in started}
