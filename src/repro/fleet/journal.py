@@ -19,19 +19,20 @@ File format — one JSON object per line:
 The header's plan ``signature`` guards resume: a journal written by a
 different plan (different jobs, seed, or configs) raises
 :class:`~repro.errors.FleetError` instead of silently merging stale
-results.
+results. File discipline is :mod:`repro.durable`'s: a torn final line
+is dropped, a damaged earlier line refuses the resume.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
+from ..durable import Journal
 from ..errors import FleetError
 from .codec import decode, encode
-from .jobs import FleetPlan, JobFailure, JobRecord
+from .jobs import FleetPlan, JobRecord
 
 __all__ = ["FleetJournal"]
 
@@ -46,8 +47,10 @@ class FleetJournal:
             ...
             journal.record(record)              # append as jobs finish
 
-    Records are flushed and fsynced per append, so a hard kill loses at
-    most the job that was in flight.
+    Records are fsynced per append, so a hard kill loses at most the job
+    that was in flight. Opening rewrites header + restored records
+    atomically, so a kill during a resume leaves the prior journal
+    intact.
     """
 
     def __init__(
@@ -56,32 +59,36 @@ class FleetJournal:
         self.path = Path(path)
         self.plan = plan
         self.resume = resume
-        self._completed: dict[str, JobRecord] = {}
-        self._handle: IO[str] | None = None
-        existing = self._load_existing() if resume else []
-        self._open(existing)
+        self._journal = Journal(self.path, FleetError, sort_keys=True)
+        kept = self._load_existing() if resume else {}
+        self._completed = {
+            job_id: JobRecord(
+                job_id=job_id,
+                status="ok",
+                result=decode(line["payload"]),
+                elapsed_seconds=float(line.get("elapsed_seconds", 0.0)),
+                journaled=True,
+            )
+            for job_id, line in kept.items()
+        }
+        self._journal.open(
+            {
+                "kind": "plan",
+                "name": plan.name,
+                "signature": plan.signature(),
+                "seed": plan.seed,
+                "jobs": len(plan),
+            },
+            list(kept.values()),
+        )
 
     # -- lifecycle ----------------------------------------------------
 
-    def _load_existing(self) -> list[dict[str, Any]]:
-        """Read and validate a prior journal, returning its job lines."""
-        if not self.path.exists():
-            return []
-        lines: list[dict[str, Any]] = []
-        with self.path.open("r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    lines.append(json.loads(raw))
-                except json.JSONDecodeError:
-                    # A torn final line from a hard kill: everything
-                    # before it is intact, so drop just the tail.
-                    break
-        if not lines:
-            return []
-        header = lines[0]
+    def _load_existing(self) -> dict[str, dict[str, Any]]:
+        """Read and validate a prior journal: its first ``ok`` line per job."""
+        header, records, _ = self._journal.read()
+        if header is None:
+            return {}
         if header.get("kind") != "plan":
             raise FleetError(
                 f"journal {self.path} has no plan header; refusing to resume"
@@ -95,83 +102,22 @@ class FleetJournal:
                 f"{self.plan.signature()}); refusing to resume"
             )
         known = set(self.plan.job_ids())
-        records = []
-        for line in lines[1:]:
-            if line.get("kind") != "job" or line.get("job_id") not in known:
-                continue
+        kept: dict[str, dict[str, Any]] = {}
+        for line in records:
             # Only successes checkpoint across runs: a failed job is
             # retried on resume (the interruption itself may have been
             # the cause — a pool kill shows up as broken-pool/timeout).
-            if line.get("status") != "ok":
-                continue
-            records.append(line)
-        return records
-
-    def _open(self, existing: list[dict[str, Any]]) -> None:
-        """Rewrite header + restored records, leave handle in append mode.
-
-        The rewrite lands via temp file + fsync + ``os.replace``, so a
-        kill during a resume leaves the prior journal intact.
-        """
-        lines = [
-            {
-                "kind": "plan",
-                "name": self.plan.name,
-                "signature": self.plan.signature(),
-                "seed": self.plan.seed,
-                "jobs": len(self.plan),
-            }
-        ]
-        for line in existing:
-            record = self._record_from_line(line)
-            if record.job_id not in self._completed:
-                self._completed[record.job_id] = record
-                lines.append(line)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.writelines(_dumps(line) for line in lines)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._handle = self.path.open("a", encoding="utf-8")
-
-    def _record_from_line(self, line: dict[str, Any]) -> JobRecord:
-        status = line["status"]
-        payload = decode(line["payload"])
-        if status == "ok":
-            return JobRecord(
-                job_id=line["job_id"],
-                status="ok",
-                result=payload,
-                elapsed_seconds=float(line.get("elapsed_seconds", 0.0)),
-                journaled=True,
-            )
-        if not isinstance(payload, JobFailure):
-            raise FleetError(
-                f"journal {self.path}: failed record {line['job_id']!r} "
-                "does not carry a JobFailure payload"
-            )
-        return JobRecord(
-            job_id=line["job_id"],
-            status="failed",
-            failure=payload,
-            elapsed_seconds=float(line.get("elapsed_seconds", 0.0)),
-            journaled=True,
-        )
-
-    def _write_line(self, payload: dict[str, Any]) -> None:
-        if self._handle is None:
-            raise FleetError(f"journal {self.path} is closed")
-        self._handle.write(_dumps(payload))
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+            if (
+                line.get("kind") == "job"
+                and line.get("job_id") in known
+                and line.get("status") == "ok"
+            ):
+                kept.setdefault(line["job_id"], line)
+        return kept
 
     def close(self) -> None:
-        """Flush and close the underlying file."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        """Close the underlying file (appends are already durable)."""
+        self._journal.close()
 
     def __enter__(self) -> "FleetJournal":
         return self
@@ -195,7 +141,7 @@ class FleetJournal:
             payload = encode(record.result)
         else:
             payload = encode(record.failure)
-        self._write_line(
+        self._journal.append(
             {
                 "kind": "job",
                 "job_id": record.job_id,
@@ -205,7 +151,3 @@ class FleetJournal:
             }
         )
 
-
-def _dumps(payload: dict[str, Any]) -> str:
-    """One canonical journal line, newline included."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

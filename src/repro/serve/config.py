@@ -171,10 +171,6 @@ class ServeConfig:
     fsync_journal:
         Fsync every journal record (crash-safety on; throughput
         benchmarks turn it off).
-    verify_recovery:
-        Cross-check the replayed state's per-tenant K/C/N digest
-        against the last committed tick's digest and refuse to serve
-        from torn state.
     drain_max_ticks:
         Bound on the extra ticks a graceful drain runs to finish
         queued telemetry before snapshotting.
@@ -200,7 +196,6 @@ class ServeConfig:
     quarantine_release_ticks: int = 60
     snapshot_interval_ticks: int = 120
     fsync_journal: bool = True
-    verify_recovery: bool = True
     drain_max_ticks: int = 64
     seed: int = 0
 

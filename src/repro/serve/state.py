@@ -18,15 +18,13 @@ marker for that tick, so replay stops at the last committed tick and
 the interrupted tick re-executes from its inputs — byte-identically,
 which the recovered digest cross-check proves.
 
-File discipline mirrors :mod:`repro.store.cas` and
-:mod:`repro.fleet.journal`: journal records are appended with
-``flush`` + ``fsync`` (so a record either exists completely or not at
-all, torn tails excepted), the snapshot is written to a temp file,
-fsynced and ``os.replace``d (readers never observe a partial snapshot),
-and a torn journal tail — the one artifact a SIGKILL can leave — is
-tolerated by dropping the unparseable final line. A snapshot compacts
-the journal: it embeds every input record up to its ``seq``, after
-which the journal is atomically truncated back to its header. Replay
+File discipline is :mod:`repro.durable`'s: each record is one durable
+append, the snapshot lands by atomic replace, and a torn journal tail —
+the one artifact a SIGKILL can leave — is dropped on recovery and
+removed by the rewrite that reopens the journal. A snapshot compacts
+the journal: it embeds every input record up to its ``seq`` (the
+previous snapshot's records plus the journal's, read back from disk),
+after which the journal is atomically rewritten to its header. Replay
 deduplicates by ``seq``, so a crash *between* snapshot replace and
 journal truncation double-counts nothing.
 
@@ -38,11 +36,11 @@ signature.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
+from ..durable import Journal, fsync_dir, write_atomic
 from ..errors import ServeError
 
 __all__ = ["RecoveredInputs", "ServeState"]
@@ -66,18 +64,6 @@ class RecoveredInputs:
         return not self.records
 
 
-def _fsync_dir(path: Path) -> None:  # lint: blocking-boundary - rename durability
-    """Best-effort directory fsync (rename durability on POSIX)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # lint: disable=EXC001 - platform without dir fsync
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 class ServeState:
     """One state directory: its journal, snapshot and sequence counter."""
 
@@ -87,11 +73,17 @@ class ServeState:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.signature = signature
-        self.fsync = fsync
         self.journal_path = self.root / _JOURNAL
         self.snapshot_path = self.root / _SNAPSHOT
         self.seq = 0
-        self._fh: IO[str] | None = None
+        self._journal = Journal(self.journal_path, ServeError, fsync=fsync)
+        self._header = {
+            "kind": "serve-journal",
+            "version": _VERSION,
+            "signature": signature,
+        }
+        #: Journal records :meth:`load` kept, until :meth:`open_append`.
+        self._kept: list[dict[str, Any]] | None = None
 
     # -- recovery ------------------------------------------------------------------
 
@@ -99,14 +91,20 @@ class ServeState:
         """Read snapshot + journal into one deduplicated input sequence.
 
         Call before :meth:`open_append`. Raises
-        :class:`~repro.errors.ServeError` on a signature mismatch or a
+        :class:`~repro.errors.ServeError` on a signature mismatch, a
         snapshot that fails to parse — a snapshot is written atomically,
         so damage there is not a crash artifact and must not be guessed
-        around. A torn journal *tail* (the one artifact a SIGKILL can
-        leave) is dropped and reported.
+        around — or a damaged journal line other than the last. A torn
+        journal *tail* (the one artifact a SIGKILL can leave) is dropped
+        and reported.
         """
+        recovered, self._kept = self._read()
+        self.seq = recovered.last_seq
+        return recovered
+
+    def _read(self) -> tuple[RecoveredInputs, list[dict[str, Any]]]:
+        """All inputs on disk, plus the journal's share of them."""
         recovered = RecoveredInputs()
-        snapshot_seq = 0
         if self.snapshot_path.exists():
             try:
                 snapshot = json.loads(
@@ -122,51 +120,31 @@ class ServeState:
                 )
             self._check_signature(snapshot.get("signature"), "snapshot")
             recovered.records.extend(snapshot.get("records", ()))
-            snapshot_seq = int(snapshot.get("seq", 0))
             recovered.snapshot_tick = int(snapshot.get("tick", 0))
-            recovered.last_seq = snapshot_seq
+            recovered.last_seq = int(snapshot.get("seq", 0))
+        snapshot_seq = recovered.last_seq
 
-        if self.journal_path.exists():
-            lines = self.journal_path.read_text(encoding="utf-8").splitlines()
-            if lines:
-                header = self._parse_header(lines[0])
-                for position, line in enumerate(lines[1:], start=2):
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        if position == len(lines):
-                            recovered.dropped_torn_tail = True
-                            break
-                        raise ServeError(
-                            f"corrupt journal record at "
-                            f"{self.journal_path}:{position}"
-                        ) from None
-                    seq = int(record.get("seq", 0))
-                    if seq <= snapshot_seq:
-                        continue  # compacted into the snapshot already
-                    if seq <= recovered.last_seq:
-                        raise ServeError(
-                            "journal sequence regressed at "
-                            f"{self.journal_path}:{position} "
-                            f"({seq} after {recovered.last_seq})"
-                        )
-                    recovered.last_seq = seq
-                    recovered.records.append(record)
-                del header
-        self.seq = recovered.last_seq
-        return recovered
-
-    def _parse_header(self, line: str) -> dict[str, Any]:
-        try:
-            header = json.loads(line)
-        except ValueError as exc:
-            raise ServeError(
-                f"corrupt journal header in {self.journal_path}"
-            ) from exc
-        if header.get("kind") != "serve-journal":
-            raise ServeError(f"{self.journal_path} is not a serve journal")
-        self._check_signature(header.get("signature"), "journal")
-        return header
+        contents = self._journal.read()
+        if contents.header is not None:
+            if contents.header.get("kind") != "serve-journal":
+                raise ServeError(f"{self.journal_path} is not a serve journal")
+            self._check_signature(contents.header.get("signature"), "journal")
+        kept: list[dict[str, Any]] = []
+        for position, record in enumerate(contents.records, start=2):
+            seq = int(record.get("seq", 0))
+            if seq <= snapshot_seq:
+                continue  # compacted into the snapshot already
+            if seq <= recovered.last_seq:
+                raise ServeError(
+                    "journal sequence regressed at "
+                    f"{self.journal_path}:{position} "
+                    f"({seq} after {recovered.last_seq})"
+                )
+            recovered.last_seq = seq
+            kept.append(record)
+        recovered.records.extend(kept)
+        recovered.dropped_torn_tail = contents.torn_tail
+        return recovered, kept
 
     def _check_signature(self, found: object, what: str) -> None:
         if found != self.signature:
@@ -179,100 +157,53 @@ class ServeState:
     # -- appending -----------------------------------------------------------------
 
     def open_append(self) -> None:  # lint: blocking-boundary - one open per process lifetime
-        """Open the journal for appending, writing the header if fresh."""
-        fresh = (
-            not self.journal_path.exists()
-            or self.journal_path.stat().st_size == 0
-        )
-        self._fh = open(  # noqa: SIM115 - held across appends
-            self.journal_path, "a", encoding="utf-8"
-        )
-        if fresh:
-            self._write_line(
-                {
-                    "kind": "serve-journal",
-                    "version": _VERSION,
-                    "signature": self.signature,
-                }
-            )
+        """Rewrite the journal to its header + the records :meth:`load`
+        kept, then hold it for appending.
 
-    def append(self, record: dict[str, Any]) -> int:
+        The rewrite drops a torn tail before the first new record could
+        be written onto it.
+        """
+        if self._kept is None:
+            self.load()
+        self._journal.open(self._header, self._kept or [])
+        self._kept = None
+
+    # The fsync under append is the daemon's crash-safety contract: an
+    # input is acked only once it is durable, so a SIGKILL can never lose
+    # an acked record. The stall is bounded (one line) and single-threaded
+    # by design — the plane serialises every mutation through this journal.
+    def append(self, record: dict[str, Any]) -> int:  # lint: blocking-boundary
         """Append one input record; returns its assigned ``seq``."""
-        if self._fh is None:
-            raise ServeError("journal not open (call open_append first)")
+        self._journal.append({"seq": self.seq + 1, **record})
         self.seq += 1
-        stamped = {"seq": self.seq, **record}
-        self._write_line(stamped)
         return self.seq
-
-    # The fsync below is the daemon's crash-safety contract: an input is
-    # acked only once it is durable, so a SIGKILL can never lose an acked
-    # record. The stall is bounded (one line) and single-threaded by
-    # design — the plane serialises every mutation through this journal.
-    def _write_line(self, payload: dict[str, Any]) -> None:  # lint: blocking-boundary
-        assert self._fh is not None
-        self._fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
 
     # -- compaction ----------------------------------------------------------------
 
-    def snapshot(  # lint: blocking-boundary - atomic compaction must be durable
-        self, tick: int, records: list[dict[str, Any]]
-    ) -> None:
+    def snapshot(self, tick: int) -> None:  # lint: blocking-boundary - atomic compaction must be durable
         """Atomically compact all inputs up to the current ``seq``.
 
-        ``records`` must be every input record (register/telemetry and
-        tick commit markers alike) with ``seq`` <= the current
-        sequence — the plane passes its in-memory input ledger.
-        After the snapshot lands, the journal is truncated back to its
-        header; a crash between the two steps is safe because replay
-        deduplicates by ``seq``.
+        The snapshot's records are the previous snapshot's plus the
+        journal's, read back from disk. After the snapshot lands, the
+        journal is rewritten to a bare header; a crash between the two
+        steps is safe because replay deduplicates by ``seq``.
         """
+        recovered, _ = self._read()
         payload = {
             "kind": "serve-snapshot",
             "version": _VERSION,
             "signature": self.signature,
             "tick": tick,
             "seq": self.seq,
-            "records": records,
+            "records": recovered.records,
         }
-        tmp = self.snapshot_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":")))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.snapshot_path)
-        _fsync_dir(self.root)
-
-        # Truncate the journal back to a bare header, atomically.
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        tmp_journal = self.journal_path.with_suffix(".tmp")
-        with open(tmp_journal, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "kind": "serve-journal",
-                        "version": _VERSION,
-                        "signature": self.signature,
-                    },
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_journal, self.journal_path)
-        _fsync_dir(self.root)
-        self._fh = open(  # noqa: SIM115 - held across appends
-            self.journal_path, "a", encoding="utf-8"
+        write_atomic(
+            self.snapshot_path,
+            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
         )
+        fsync_dir(self.root)
+        self._journal.open(self._header, [])
 
     def close(self) -> None:
         """Close the journal handle (appends are already durable)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._journal.close()

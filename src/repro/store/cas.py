@@ -17,18 +17,17 @@ Layout under the store root (``~/.cache/caasper`` by default, or any
   the blobs themselves are the ground truth, so a lost or torn index
   never loses data.
 
-Durability and concurrency discipline:
+Durability and concurrency discipline (the file rules themselves are
+:mod:`repro.durable`'s):
 
-- **Atomic blobs.** A blob is written to a same-directory temp file,
-  fsynced, then published with ``os.replace``. Readers see either the
-  complete old blob, the complete new blob, or nothing — never a torn
-  write. Two processes racing on the same key both write the same
+- **Atomic blobs.** A blob lands by :func:`~repro.durable.write_atomic`.
+  Two processes racing on the same key both write the same
   deterministic content, so whichever ``replace`` lands last is
   indistinguishable from the other.
-- **Append-only index.** Index lines are single ``write`` calls on an
-  ``O_APPEND`` descriptor (atomic for lines far below ``PIPE_BUF``),
-  fsynced per line. A crash mid-append leaves at most one torn tail
-  line, which the reader skips.
+- **Append-only index.** Index lines are durable single-``write``
+  appends (:func:`~repro.durable.append_line`). The index has many
+  writers and is advisory, so its reader skips any torn or garbled
+  line instead of refusing it.
 - **Corruption degrades to a miss.** A blob whose header fails to
   parse, whose epoch is stale, or whose checksum mismatches is treated
   as absent (and unlinked best effort); the caller recomputes. A
@@ -51,6 +50,7 @@ from hashlib import sha256
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+from ..durable import append_line, write_atomic
 from ..errors import StoreError
 from ..fleet.codec import encode
 from ..obs.events import CacheEvictedEvent, CacheHitEvent, CacheMissEvent
@@ -251,8 +251,8 @@ class ResultStore:
     ) -> int:
         """Write ``value`` under ``key`` atomically; returns blob bytes.
 
-        The blob lands via same-directory temp file + fsync +
-        ``os.replace``, then one fsynced index line records the write.
+        The blob lands by :func:`~repro.durable.write_atomic`, then one
+        fsynced index line records the write.
         Safe under concurrent writers: both produce identical content
         for the same key, so the losing ``replace`` changes nothing —
         ``producer_trace_id`` is itself derived deterministically from
@@ -284,14 +284,7 @@ class ResultStore:
             except FileNotFoundError:
                 pass
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{key}.{os.getpid()}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+        write_atomic(path, data)
         self._append_index(key, kind, len(data))
         self._stats_puts += 1
         if self._total_bytes is not None:
@@ -305,14 +298,7 @@ class ResultStore:
     def _append_index(self, key: str, kind: str, nbytes: int) -> None:
         line = _index_line(key, kind, nbytes).encode("utf-8")
         self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            self.index_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-        )
-        try:
-            os.write(fd, line)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        append_line(self.index_path, line)
 
     # -- enumeration -----------------------------------------------------------
 
@@ -441,17 +427,10 @@ class ResultStore:
     def _rewrite_index(self, entries: list[dict[str, Any]]) -> None:
         """Atomically replace the index with the given entries."""
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / f".index.{os.getpid()}.tmp"
         lines = "".join(
             _index_line(e["key"], e["kind"], e["nbytes"]) for e in entries
         )
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-        try:
-            os.write(fd, lines.encode("utf-8"))
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, self.index_path)
+        write_atomic(self.index_path, lines.encode("utf-8"))
 
     def clear(self) -> int:
         """Remove every blob and reset the index; returns blobs removed."""

@@ -413,15 +413,23 @@ def test_render_graph_json_is_valid_and_sorted():
 def test_graph_over_real_repo_resolves_serve_journal_chain():
     """The chain ASY001 polices must exist in the real source tree."""
     project = ProjectIndex()
-    for path in LintEngine.discover(["src/repro/serve"]):
+    for path in LintEngine.discover(["src/repro/serve", "src/repro/durable.py"]):
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
         project.add(ModuleContext(path, source, ast.parse(source)))
     graph = build_call_graph(project)
-    write_line = graph.get("repro.serve.state.ServeState._write_line")
-    assert write_line is not None
-    assert "os.fsync" in {ext.name for ext in write_line.external_calls}
-    assert write_line.blocking_boundary  # the reviewed journal edge
+    append_line = graph.get("repro.durable.append_line")
+    assert append_line is not None
+    assert "os.fsync" in {ext.name for ext in append_line.external_calls}
+    assert "repro.durable.Journal.append" in graph.callers_of(
+        "repro.durable.append_line"
+    )
+    assert "repro.serve.state.ServeState.append" in graph.callers_of(
+        "repro.durable.Journal.append"
+    )
+    append = graph.get("repro.serve.state.ServeState.append")
+    assert append is not None
+    assert append.blocking_boundary  # the reviewed journal edge
     assert "repro.serve.plane.ControlPlane._journal" in graph.callers_of(
         "repro.serve.state.ServeState.append"
     )

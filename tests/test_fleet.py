@@ -340,6 +340,19 @@ class TestJournal:
         ).run(plan)
         assert outcome.ok_count == 2
 
+    def test_corrupt_middle_line_refuses_resume(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        plan = probe_plan("ok", "ok", "ok")
+        FleetRunner(workers=1, journal_path=path).run(plan)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "not json"  # the second job's checkpoint
+        damaged = "\n".join(lines) + "\n"
+        path.write_text(damaged, encoding="utf-8")
+        with pytest.raises(FleetError, match=r"corrupt journal record at .*run\.jsonl:3"):
+            FleetRunner(workers=1, journal_path=path, resume=True).run(plan)
+        # Refusing leaves the intact checkpoints on disk for inspection.
+        assert path.read_text(encoding="utf-8") == damaged
+
     def test_resume_killed_mid_rewrite_keeps_prior_jobs(
         self, tmp_path, monkeypatch
     ):

@@ -103,6 +103,13 @@ class TestKillRestartProperty:
         harness = make_harness(state_dir=state_dir)
         assert harness.plane.recovery is not None
         assert harness.plane.recovery.get("torn_tail_dropped")
+        # Records acked after the recovery must survive the next one,
+        # which lands before the tick-96 compaction rewrites the journal.
+        harness.run(3)
+        harness.crash()
+        harness = make_harness(state_dir=state_dir)
+        assert harness.plane.tick == 93
+        assert not harness.plane.recovery.get("torn_tail_dropped")
         harness.run(TICKS - harness.plane.tick)
         assert json.dumps(harness.kcn(), sort_keys=True) == want
 

@@ -59,6 +59,42 @@ def test_torn_tail_is_dropped_and_reported(tmp_path):
     assert recovered.last_seq == 1
 
 
+def test_reopen_removes_torn_tail_before_appending(tmp_path):
+    state = make_state(tmp_path)
+    state.load()
+    state.open_append()
+    state.append({"kind": "tick", "tick": 0, "digest": "d"})
+    state.close()
+    with open(state.journal_path, "a", encoding="utf-8") as handle:
+        handle.write('{"seq": 2, "kind": "tick", "ti')  # SIGKILL mid-write
+
+    reopened = make_state(tmp_path)
+    assert reopened.load().dropped_torn_tail
+    reopened.open_append()
+    assert reopened.append({"kind": "tick", "tick": 1, "digest": "e"}) == 2
+    reopened.close()
+
+    recovered = make_state(tmp_path).load()
+    assert not recovered.dropped_torn_tail
+    assert [record["digest"] for record in recovered.records] == ["d", "e"]
+
+
+def test_snapshot_merges_previous_snapshot_and_journal(tmp_path):
+    state = make_state(tmp_path)
+    state.load()
+    state.open_append()
+    state.append({"kind": "tick", "tick": 0, "digest": "a"})
+    state.snapshot(1)
+    state.append({"kind": "tick", "tick": 1, "digest": "b"})
+    state.snapshot(2)
+    state.close()
+
+    snapshot = json.loads(state.snapshot_path.read_text())
+    assert [record["seq"] for record in snapshot["records"]] == [1, 2]
+    assert snapshot["seq"] == 2
+    assert snapshot["tick"] == 2
+
+
 def test_mid_file_corruption_raises(tmp_path):
     state = make_state(tmp_path)
     state.load()
@@ -87,12 +123,9 @@ def test_snapshot_compacts_and_replay_deduplicates(tmp_path):
     state = make_state(tmp_path)
     state.load()
     state.open_append()
-    records = []
     for tick in range(3):
-        record = {"kind": "tick", "tick": tick, "digest": f"d{tick}"}
-        seq = state.append(record)
-        records.append({"seq": seq, **record})
-    state.snapshot(3, records)
+        state.append({"kind": "tick", "tick": tick, "digest": f"d{tick}"})
+    state.snapshot(3)
     # Post-compaction: the journal is a bare header again.
     assert len(state.journal_path.read_text().splitlines()) == 1
     seq = state.append({"kind": "tick", "tick": 3, "digest": "d3"})
@@ -110,13 +143,10 @@ def test_replay_skips_journal_records_already_in_snapshot(tmp_path):
     state = make_state(tmp_path)
     state.load()
     state.open_append()
-    records = []
     for tick in range(2):
-        record = {"kind": "tick", "tick": tick, "digest": f"d{tick}"}
-        seq = state.append(record)
-        records.append({"seq": seq, **record})
+        state.append({"kind": "tick", "tick": tick, "digest": f"d{tick}"})
     journal_with_records = state.journal_path.read_text()
-    state.snapshot(2, records)
+    state.snapshot(2)
     state.close()
     # Undo the truncation, simulating a crash mid-compaction.
     state.journal_path.write_text(journal_with_records)
