@@ -26,6 +26,7 @@ import os
 import sys
 from typing import Sequence
 
+from .errors import ReproError
 from .experiments import EXPERIMENTS
 from .workloads.traces import paper_trace, paper_trace_names
 
@@ -1536,10 +1537,24 @@ def _sanitize_serve(record, args: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` (a refused resume, a bad trace
+    file) is the user's to fix, not a crash: it prints as one
+    ``caasper: error: <message>`` line on stderr and exits 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ReproError as error:
+        message = " ".join(str(error).splitlines())
+        print(f"caasper: error: {message}", file=sys.stderr)
+        return 2
 
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns its exit code."""
     if args.command == "list":
         print("experiments:")
         for name in sorted(EXPERIMENTS):

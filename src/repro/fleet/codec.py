@@ -9,15 +9,17 @@ the originals bit-for-bit (numpy arrays included — floats travel as
 Python floats, which JSON preserves exactly for IEEE doubles via
 ``repr`` round-tripping).
 
-Supported result types: :class:`~repro.sim.results.SimulationResult`
-(with its metrics/events), :class:`~repro.tuning.search.TrialResult`,
-:class:`~repro.core.config.CaasperConfig`,
-:class:`~repro.fleet.jobs.JobFailure`, numpy arrays, and arbitrary
-JSON-native nests of those.
+Result dataclasses are listed once, in :data:`_CLASSES`: :func:`encode`
+writes every field :func:`dataclasses.fields` reports and
+:func:`decode` rebuilds the class from them, so adding a result type is
+one table entry. Numpy arrays and
+:class:`~repro.core.config.CaasperConfig` keep their own branches,
+whose bytes are pinned; JSON-native nests of all of these pass through.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Mapping
 
@@ -34,6 +36,17 @@ __all__ = ["encode", "decode", "canonical_json", "decode_json"]
 
 _TAG = "__fleet__"
 
+#: Tag → result dataclass. The tags are part of the journal and blob
+#: format; a class is looked up by its exact type.
+_CLASSES: dict[str, type] = {
+    "simulation_result": SimulationResult,
+    "simulation_metrics": SimulationMetrics,
+    "scaling_event": ScalingEvent,
+    "job_failure": JobFailure,
+    "trial_result": TrialResult,
+}
+_TAGS = {cls: tag for tag, cls in _CLASSES.items()}
+
 
 def encode(value: Any) -> Any:
     """Convert a job result into JSON-native data (tagged where needed)."""
@@ -47,56 +60,16 @@ def encode(value: Any) -> Any:
         return {_TAG: "ndarray", "values": [float(v) for v in value]}
     if isinstance(value, (list, tuple)):
         return [encode(item) for item in value]
-    if isinstance(value, SimulationResult):
-        return {
-            _TAG: "simulation_result",
-            "name": value.name,
-            "demand": encode(value.demand),
-            "usage": encode(value.usage),
-            "limits": encode(value.limits),
-            "events": [encode(event) for event in value.events],
-            "metrics": encode(value.metrics),
-            "detail": encode(dict(value.detail)),
-        }
-    if isinstance(value, SimulationMetrics):
-        return {
-            _TAG: "simulation_metrics",
-            "total_slack": value.total_slack,
-            "total_insufficient_cpu": value.total_insufficient_cpu,
-            "num_scalings": value.num_scalings,
-            "minutes": value.minutes,
-            "throttled_observations": value.throttled_observations,
-            "price": value.price,
-        }
-    if isinstance(value, ScalingEvent):
-        return {
-            _TAG: "scaling_event",
-            "decided_minute": value.decided_minute,
-            "enacted_minute": value.enacted_minute,
-            "from_cores": value.from_cores,
-            "to_cores": value.to_cores,
-        }
+    tag = _TAGS.get(type(value))
+    if tag is not None:
+        encoded = {_TAG: tag}
+        for spec in dataclasses.fields(value):
+            encoded[spec.name] = encode(getattr(value, spec.name))
+        return encoded
     if isinstance(value, CaasperConfig):
         payload = value.as_dict()  # rounding already flattened to its value
         payload["extra"] = {str(k): encode(v) for k, v in value.extra.items()}
         return {_TAG: "caasper_config", "fields": payload}
-    if isinstance(value, JobFailure):
-        return {
-            _TAG: "job_failure",
-            "job_id": value.job_id,
-            "error_type": value.error_type,
-            "message": value.message,
-            "traceback": value.traceback,
-            "failure_kind": value.failure_kind,
-        }
-    if isinstance(value, TrialResult):
-        return {
-            _TAG: "trial_result",
-            "config": encode(value.config),
-            "total_slack": value.total_slack,
-            "total_insufficient_cpu": value.total_insufficient_cpu,
-            "num_scalings": value.num_scalings,
-        }
     if isinstance(value, Mapping):
         return {str(key): encode(item) for key, item in value.items()}
     raise FleetError(
@@ -116,53 +89,20 @@ def decode(value: Any) -> Any:
         return {key: decode(item) for key, item in value.items()}
     if tag == "ndarray":
         return np.asarray(value["values"], dtype=float)
-    if tag == "simulation_result":
-        return SimulationResult(
-            name=value["name"],
-            demand=decode(value["demand"]),
-            usage=decode(value["usage"]),
-            limits=decode(value["limits"]),
-            events=tuple(decode(event) for event in value["events"]),
-            metrics=decode(value["metrics"]),
-            detail=decode(value["detail"]),
-        )
-    if tag == "simulation_metrics":
-        return SimulationMetrics(
-            total_slack=value["total_slack"],
-            total_insufficient_cpu=value["total_insufficient_cpu"],
-            num_scalings=value["num_scalings"],
-            minutes=value["minutes"],
-            throttled_observations=value["throttled_observations"],
-            price=value["price"],
-        )
-    if tag == "scaling_event":
-        return ScalingEvent(
-            decided_minute=value["decided_minute"],
-            enacted_minute=value["enacted_minute"],
-            from_cores=value["from_cores"],
-            to_cores=value["to_cores"],
-        )
     if tag == "caasper_config":
         fields = dict(value["fields"])
         fields["rounding"] = RoundingMode(fields["rounding"])
         extra = fields.pop("extra", {})
         return CaasperConfig(**fields, extra=extra)
-    if tag == "job_failure":
-        return JobFailure(
-            job_id=value["job_id"],
-            error_type=value["error_type"],
-            message=value["message"],
-            traceback=value["traceback"],
-            failure_kind=value["failure_kind"],
-        )
-    if tag == "trial_result":
-        return TrialResult(
-            config=decode(value["config"]),
-            total_slack=value["total_slack"],
-            total_insufficient_cpu=value["total_insufficient_cpu"],
-            num_scalings=value["num_scalings"],
-        )
-    raise FleetError(f"unknown fleet codec tag {tag!r}")
+    cls = _CLASSES.get(tag)
+    if cls is None:
+        raise FleetError(f"unknown fleet codec tag {tag!r}")
+    kwargs = {}
+    for spec in dataclasses.fields(cls):
+        item = decode(value[spec.name])
+        # JSON has only lists: a field annotated ``tuple[...]`` gets its tuple back.
+        kwargs[spec.name] = tuple(item) if str(spec.type).startswith("tuple[") else item
+    return cls(**kwargs)
 
 
 def canonical_json(value: Any) -> str:

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, ClassVar, Iterator
 
 from ..baselines.base import Recommender
 from ..core.config import CaasperConfig
-from ..errors import FleetError
+from ..errors import FleetError, StoreError
 from ..sim.simulator import SimulatorConfig, simulate_trace
 from ..trace import CpuTrace
 
@@ -46,6 +47,19 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: Recommender digests pin the pickle protocol (Python 3.8+'s default).
+_PICKLE_PROTOCOL = 4
+
+
+def _signed(value: Any) -> Any:
+    """One job field's signature: a recommender by its pickle's sha256."""
+    from ..store.keys import content_signature
+
+    if isinstance(value, Recommender):
+        blob = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+        return {"pickle_sha256": hashlib.sha256(blob).hexdigest()}
+    return content_signature(value)
+
 
 def derive_job_seed(plan_seed: int, job_id: str) -> int:
     """Deterministic per-job seed from ``(plan seed, job id)``.
@@ -59,14 +73,6 @@ def derive_job_seed(plan_seed: int, job_id: str) -> int:
         acc = ((acc ^ byte) * 0x100000001B3) & _MASK64
     acc ^= acc >> 29
     return acc & 0x7FFFFFFF
-
-
-def _trace_digest(trace: CpuTrace) -> str:
-    """Stable content digest of a trace (name + raw sample bytes)."""
-    hasher = hashlib.sha256()
-    hasher.update(trace.name.encode("utf-8"))
-    hasher.update(trace.samples.tobytes())
-    return hasher.hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -92,21 +98,24 @@ class FleetJob(ABC):
     def execute(self, seed: int, observer: "Observer | None" = None) -> Any:
         """Run the job and return its (codec-serialisable) result."""
 
-    def digest_payload(self) -> dict[str, Any]:
-        """Stable JSON-able description of this job's identity.
-
-        Feeds :meth:`FleetPlan.signature`, which guards checkpoint
-        journals against being resumed by a *different* plan. Subclasses
-        extend with their spec fields.
-        """
-        return {"kind": self.kind, "job_id": self.job_id}
-
     def digest(self) -> str:
-        """Content digest of this job spec (first 16 hex chars)."""
-        payload = json.dumps(
-            self.digest_payload(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        """Content digest of this job spec (first 16 hex chars).
+
+        Signs the kind and every field through
+        :func:`~repro.store.keys.content_signature`, and a recommender by
+        the sha256 of its pickle (the bytes a spawn worker receives), so
+        its constructor arguments count. Feeds :meth:`FleetPlan.signature`.
+        """
+        payload: dict[str, Any] = {"kind": self.kind}
+        try:
+            for spec in fields(self):
+                payload[spec.name] = _signed(getattr(self, spec.name))
+        except (StoreError, pickle.PicklingError, TypeError, AttributeError) as error:
+            raise FleetError(
+                f"job {self.job_id!r} cannot be signed: {error}"
+            ) from error
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
     def store_key(self, seed: int) -> str | None:
         """Result-store cache key for this job, or ``None`` if uncacheable.
@@ -159,16 +168,6 @@ class SimulateJob(FleetJob):
         recommender = copy.deepcopy(self.recommender)
         return simulate_trace(self.trace, recommender, self.simulator, observer)
 
-    def digest_payload(self) -> dict[str, Any]:
-        payload = super().digest_payload()
-        payload.update(
-            trace=_trace_digest(self.trace),
-            recommender=self.recommender.name,
-            config=repr(getattr(self.recommender, "config", None)),
-            simulator=repr(self.simulator),
-        )
-        return payload
-
     def store_key(self, seed: int) -> str | None:
         from ..store.keys import simulate_key
 
@@ -211,15 +210,6 @@ class TrialJob(FleetJob):
         recommender = CaasperRecommender(self.config)
         result = simulate_trace(self.demand, recommender, self.simulator, observer)
         return TrialResult.from_simulation(self.config, result)
-
-    def digest_payload(self) -> dict[str, Any]:
-        payload = super().digest_payload()
-        payload.update(
-            trace=_trace_digest(self.demand),
-            config=repr(self.config),
-            simulator=repr(self.simulator),
-        )
-        return payload
 
     def store_key(self, seed: int) -> str | None:
         from ..store.keys import trial_key
@@ -268,7 +258,6 @@ class ChaosJob(FleetJob):
         from ..core.recommender import CaasperRecommender
         from ..faults.scenarios import make_scenario
         from ..sim.live import LiveSystemConfig, simulate_live
-        from ..sim.results import SimulationResult
         from ..workloads.base import TraceWorkload
 
         workload = TraceWorkload(self.trace)
@@ -292,24 +281,7 @@ class ChaosJob(FleetJob):
             for key, value in result.detail.items()
             if key not in ("txn_accounting", "events")
         }
-        return SimulationResult(
-            name=result.name,
-            demand=result.demand,
-            usage=result.usage,
-            limits=result.limits,
-            events=result.events,
-            metrics=result.metrics,
-            detail=serialisable,
-        )
-
-    def digest_payload(self) -> dict[str, Any]:
-        payload = super().digest_payload()
-        payload.update(
-            trace=_trace_digest(self.trace),
-            scenario=self.scenario,
-            config=repr(self.recommender_config),
-        )
-        return payload
+        return replace(result, detail=serialisable)
 
     def store_key(self, seed: int) -> str | None:
         from ..store.keys import chaos_key
@@ -360,13 +332,6 @@ class ProbeJob(FleetJob):
         if self.behaviour == "sleep":
             time.sleep(self.sleep_seconds)
         return {"probe": self.job_id, "seed": seed}
-
-    def digest_payload(self) -> dict[str, Any]:
-        payload = super().digest_payload()
-        payload.update(
-            behaviour=self.behaviour, sleep_seconds=self.sleep_seconds
-        )
-        return payload
 
 
 @dataclass(frozen=True)

@@ -93,9 +93,14 @@ class FleetOutcome:
         self, plan: FleetPlan, records: tuple[JobRecord, ...], workers: int
     ) -> None:
         self.plan_name = plan.name
-        self.signature = plan.signature()
+        self._plan = plan
         self.records = records
         self.workers = workers
+
+    @property
+    def signature(self) -> str:
+        """The plan's signature, computed only when read."""
+        return self._plan.signature()
 
     def results(self) -> dict[str, object]:
         """Successful results keyed by job id, in plan order."""

@@ -118,17 +118,7 @@ def load_trace(path: str | Path) -> TraceRead:
     crashing.
     """
     result = TraceRead()
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            payload = json.loads(line)
-            payload.pop("schema_version", None)
-            try:
-                result.events.append(event_from_dict(payload))
-            except KeyError:
-                result.skipped[str(payload.get("kind", "?"))] += 1
+    result.events.extend(_read(path, result.skipped))
     return result
 
 
@@ -139,6 +129,11 @@ def iter_events(path: str | Path) -> Iterator[ObsEvent]:
     many); ``schema_version`` is reader metadata and never reaches the
     reconstructed events.
     """
+    return _read(path, Counter())
+
+
+def _read(path: str | Path, skipped: Counter[str]) -> Iterator[ObsEvent]:
+    """The one read loop: typed events in order, unknown kinds tallied."""
     with open(path) as handle:
         for line in handle:
             line = line.strip()
@@ -147,9 +142,11 @@ def iter_events(path: str | Path) -> Iterator[ObsEvent]:
             payload = json.loads(line)
             payload.pop("schema_version", None)
             try:
-                yield event_from_dict(payload)
+                event = event_from_dict(payload)
             except KeyError:
+                skipped[str(payload.get("kind", "?"))] += 1
                 continue
+            yield event
 
 
 def read_events(path: str | Path) -> list[ObsEvent]:

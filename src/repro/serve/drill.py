@@ -62,16 +62,15 @@ def drill_config(tenants: int, seed: int = 0) -> ServeConfig:
 
 
 def _converged(plane: ControlPlane) -> bool:
-    """True when every degradation episode has recovered."""
+    """True when every degradation episode has recovered: no supervisor
+    backoff or quarantine, every breaker closed, no tenant in safe mode."""
     counters = plane.supervisor.summary()
     if counters["in_backoff"] or counters["in_quarantine"]:
         return False
-    for runtime in plane.tenants.values():
-        if runtime.breaker.state != "closed":
-            return False
-        if runtime.loop.safe_mode:
-            return False
-    return True
+    return all(
+        runtime.breaker.state == "closed" and not runtime.loop.safe_mode
+        for runtime in plane.tenants.values()
+    )
 
 
 def _run_to_convergence(
@@ -221,7 +220,7 @@ def run_drill(
     )
     check(
         "all_episodes_recovered",
-        not unhandled and _converged_after_drain(chaos.plane),
+        not unhandled and _converged(chaos.plane),
         "no open breaker, backoff, quarantine or safe-mode at the end",
     )
     check(
@@ -244,17 +243,6 @@ def run_drill(
         "audit": audit,
         "kcn_digest": chaos.plane.ledger_digest(),
     }
-
-
-def _converged_after_drain(plane: ControlPlane) -> bool:
-    """Post-drain convergence (supervisor/breaker/safe-mode quiet)."""
-    counters = plane.supervisor.summary()
-    if counters["in_backoff"] or counters["in_quarantine"]:
-        return False
-    return all(
-        runtime.breaker.state == "closed" and not runtime.loop.safe_mode
-        for runtime in plane.tenants.values()
-    )
 
 
 def _canonical(kcn: dict[str, dict[str, float | int]]) -> str:

@@ -130,6 +130,39 @@ class TestMain:
         # Resuming does not change the merged table.
         assert first.splitlines()[:4] == second.splitlines()[:4]
 
+    @staticmethod
+    def _one_line_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("caasper: error: ")
+        return lines[0]
+
+    def test_fleet_resume_of_damaged_journal_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "fleet.jsonl"
+        argv = ["fleet", "--traces", "fig3-square-wave,fig9-workday",
+                "--workers", "1", "--journal", str(journal)]
+        assert main(argv) == 0
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        lines[1] = "not json"
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        assert "corrupt journal record" in self._one_line_error(capsys)
+
+    def test_fleet_resume_by_another_plan_is_one_line_error(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "fleet.jsonl"
+        argv = ["fleet", "--traces", "fig3-square-wave",
+                "--workers", "1", "--journal", str(journal)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "1", "--resume"]) == 2
+        assert "refusing to resume" in self._one_line_error(capsys)
+
     def test_fleet_json_format(self, capsys):
         import json
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core.config import CaasperConfig
+from repro.baselines.fixed import FixedRecommender
+from repro.baselines.vpa import VpaRecommender
+from repro.core.config import CaasperConfig, RoundingMode
 from repro.errors import FleetError
 from repro.fleet import (
     ChaosJob,
@@ -31,13 +36,16 @@ from repro.fleet import (
     trial_outcome,
     trial_plan,
 )
+from repro.fleet.codec import _CLASSES
 from repro.obs import Observer
+from repro.sim.metrics import SimulationMetrics
 from repro.sim.results import ScalingEvent, SimulationResult
 from repro.sim.simulator import SimulatorConfig
 from repro.sim.sweep import SweepConfig, run_sweep
 from repro.trace import CpuTrace
 from repro.tuning.search import RandomSearch, TrialResult
 from repro.workloads.synthetic import noisy
+from repro.workloads.traces import paper_trace
 
 
 @pytest.fixture(autouse=True)
@@ -137,6 +145,139 @@ class TestPlanAndJobs:
         assert canonical_json(first) == canonical_json(second)
 
 
+# -- job identity audit -------------------------------------------------------
+#
+# A plan signature guards resume, so every job field must move its job's
+# digest. Each job kind below is perturbed one field at a time; a trace
+# field is perturbed in each of its own fields. A job field without an
+# entry here fails the audit until one is added.
+
+_AUDIT_TRACE = CpuTrace(samples=np.linspace(1.0, 3.0, 60), name="audit")
+_AUDIT_JOBS = (
+    SimulateJob(
+        "job",
+        trace=_AUDIT_TRACE,
+        recommender=FixedRecommender(4),
+        simulator=SimulatorConfig(initial_cores=4),
+    ),
+    TrialJob(
+        "job",
+        config=CaasperConfig(),
+        demand=_AUDIT_TRACE,
+        simulator=SimulatorConfig(initial_cores=4),
+    ),
+    ChaosJob("job", trace=_AUDIT_TRACE),
+    ProbeJob("job"),
+)
+_TRACE_PERTURBATIONS = {
+    "samples": _AUDIT_TRACE.samples * 1.5,
+    "name": "audit-2",
+    "start_minute": 30,
+}
+_FIELD_PERTURBATIONS = {
+    "job_id": "job-2",
+    "recommender": FixedRecommender(12),
+    "simulator": SimulatorConfig(initial_cores=5),
+    "config": CaasperConfig(c_min=3),
+    "recommender_config": CaasperConfig(c_min=3, max_cores=16),
+    "scenario": "stuck-rollout",
+    "behaviour": "raise",
+    "sleep_seconds": 0.5,
+}
+
+
+def _digest_perturbations():
+    for job in _AUDIT_JOBS:
+        for spec in dataclasses.fields(job):
+            value = getattr(job, spec.name)
+            if isinstance(value, CpuTrace):
+                for name, changed in _TRACE_PERTURBATIONS.items():
+                    yield pytest.param(
+                        job,
+                        spec.name,
+                        dataclasses.replace(value, **{name: changed}),
+                        id=f"{job.kind}-{spec.name}.{name}",
+                    )
+            else:
+                yield pytest.param(
+                    job,
+                    spec.name,
+                    _FIELD_PERTURBATIONS.get(spec.name),
+                    id=f"{job.kind}-{spec.name}",
+                )
+
+
+class TestJobIdentity:
+    def test_trace_perturbations_cover_every_trace_field(self):
+        assert set(_TRACE_PERTURBATIONS) == {
+            spec.name for spec in dataclasses.fields(CpuTrace)
+        }
+
+    @pytest.mark.parametrize("job, field, changed", _digest_perturbations())
+    def test_every_field_changes_the_digest(self, job, field, changed):
+        assert changed is not None, (
+            f"{job.kind} job field {field!r} has no perturbation: add one "
+            "to _FIELD_PERTURBATIONS proving it reaches the digest"
+        )
+        perturbed = dataclasses.replace(job, **{field: changed})
+        assert perturbed.digest() != job.digest()
+        assert (
+            FleetPlan(jobs=(perturbed,)).signature()
+            != FleetPlan(jobs=(job,)).signature()
+        )
+
+    def test_vpa_settings_change_the_digest(self):
+        base = dataclasses.replace(_AUDIT_JOBS[0], recommender=VpaRecommender())
+        changed = dataclasses.replace(
+            base, recommender=VpaRecommender(safety_margin=1.3)
+        )
+        assert base.digest() != changed.digest()
+
+    def test_plan_signature_stable_across_hash_seeds(self):
+        """Signatures derive from content and pinned-protocol pickles,
+        never ``hash()``: interpreters with different ``PYTHONHASHSEED``
+        values agree with this one."""
+        script = (
+            "from repro.baselines.vpa import VpaRecommender\n"
+            "from repro.fleet import chaos_plan, sweep_plan\n"
+            "from repro.workloads.traces import paper_trace\n"
+            "traces = [paper_trace('fig3-square-wave'), "
+            "paper_trace('fig9-workday')]\n"
+            "print(sweep_plan(traces).signature())\n"
+            "print(sweep_plan(traces, recommender_factory=lambda _: "
+            "VpaRecommender()).signature())\n"
+            "print(chaos_plan(traces, 'flaky-actuation').signature())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p
+            for p in (os.path.join(os.getcwd(), "src"), env.get("PYTHONPATH"))
+            if p
+        )
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(out.stdout)
+        traces = [paper_trace("fig3-square-wave"), paper_trace("fig9-workday")]
+        local = [
+            sweep_plan(traces).signature(),
+            sweep_plan(
+                traces, recommender_factory=lambda _: VpaRecommender()
+            ).signature(),
+            chaos_plan(traces, "flaky-actuation").signature(),
+        ]
+        assert [out.split() for out in outputs] == [local] * 3
+        assert len(set(local)) == 3
+
+
 class TestCodec:
     def test_simulation_result_round_trip(self):
         trace = small_traces(1)[0]
@@ -174,6 +315,48 @@ class TestCodec:
     def test_unencodable_rejected(self):
         with pytest.raises(FleetError, match="cannot encode"):
             encode(object())
+
+        @dataclasses.dataclass(frozen=True)
+        class Unregistered:
+            value: int = 1
+
+        with pytest.raises(FleetError, match="cannot encode"):
+            encode(Unregistered())
+
+    def test_every_table_entry_round_trips_with_exact_types(self):
+        trace = small_traces(1)[0]
+        result = run_sweep([trace]).results[trace.name]
+        assert result.events, "the sample run must scale at least once"
+        samples = {
+            "simulation_result": result,
+            "simulation_metrics": result.metrics,
+            "scaling_event": result.events[0],
+            "job_failure": JobFailure("j", "ValueError", "boom", "tb", "timeout"),
+            "trial_result": TrialResult(
+                config=CaasperConfig(rounding=RoundingMode.FLOOR),
+                total_slack=1.5,
+                total_insufficient_cpu=0.125,
+                num_scalings=3,
+            ),
+        }
+        assert set(samples) == set(_CLASSES)
+        for tag, value in samples.items():
+            encoded = encode(value)
+            assert encoded["__fleet__"] == tag
+            restored = decode(json.loads(json.dumps(encoded)))
+            assert type(restored) is _CLASSES[tag]
+            assert canonical_json(restored) == canonical_json(value)
+        restored = decode_json(canonical_json(result))
+        assert type(restored.events) is tuple
+        assert all(type(event) is ScalingEvent for event in restored.events)
+        assert type(restored.metrics) is SimulationMetrics
+        for name in ("demand", "usage", "limits"):
+            array = getattr(restored, name)
+            assert type(array) is np.ndarray and array.dtype == np.float64
+            assert np.array_equal(array, getattr(result, name))
+        trial = decode_json(canonical_json(samples["trial_result"]))
+        assert trial.config.rounding is RoundingMode.FLOOR
+        assert trial == samples["trial_result"]
 
 
 class TestSerialRunner:
@@ -315,6 +498,30 @@ class TestJournal:
         other = probe_plan("ok", seed=99)
         with pytest.raises(FleetError, match="signature"):
             FleetRunner(workers=1, journal_path=path, resume=True).run(other)
+
+    def test_recommender_arguments_guard_resume(self, tmp_path):
+        """A plan that differs only in a baseline's constructor argument
+        must not restore the other plan's results."""
+        path = tmp_path / "run.jsonl"
+        trace = small_traces(1)[0]
+
+        def plan(cores):
+            return sweep_plan(
+                [trace], recommender_factory=lambda _: FixedRecommender(cores)
+            )
+
+        FleetRunner(workers=1, journal_path=path).run(plan(4))
+        with pytest.raises(FleetError, match="signature"):
+            FleetRunner(workers=1, journal_path=path, resume=True).run(plan(12))
+
+    def test_unpicklable_recommender_runs_unjournaled_only(self, tmp_path):
+        recommender = FixedRecommender(4)
+        recommender.hook = lambda minute: None  # functions deep-copy, not pickle
+        trace = small_traces(1)[0]
+        plan = sweep_plan([trace], recommender_factory=lambda _: recommender)
+        assert FleetRunner(workers=1).run(plan).ok_count == 1
+        with pytest.raises(FleetError, match=f"job {trace.name!r}"):
+            FleetRunner(workers=1, journal_path=tmp_path / "run.jsonl").run(plan)
 
     def test_failures_are_retried_on_resume(self, tmp_path):
         path = tmp_path / "run.jsonl"
