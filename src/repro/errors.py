@@ -103,9 +103,9 @@ class StoreError(ReproError):
     Raised by :mod:`repro.store` for caller-side problems — a key
     requested for a value that has no canonical content signature, a
     negative size budget. Blob-level trouble (a corrupt or torn file, a
-    checksum mismatch) never raises: the store treats it as a cache miss
-    and recomputes, because a damaged cache must degrade to slow, not to
-    wrong or crashed.
+    checksum mismatch, a payload that does not unpack) never raises:
+    the store treats it as a cache miss and recomputes, because a
+    damaged cache must degrade to slow, not to wrong or crashed.
     """
 
 

@@ -5,13 +5,17 @@ Layout under the store root (``~/.cache/caasper`` by default, or any
 
 - ``objects/<k0k1>/<key>.json`` — one blob per cache key (the first two
   hex characters bucket the directory). Each blob is one canonical-JSON
-  header line, a ``\n``, then the result payload's canonical JSON (in
-  :mod:`repro.fleet.codec` encoding). The header carries the sha256 of
+  header line, a ``\n``, then the result payload written by
+  :func:`repro.fleet.codec.pack`: the canonical JSON of the encoded
+  result with its arrays left out, a ``\n``, then each array's
+  little-endian float64 bytes. The header carries the ``sha256`` of
   exactly the payload bytes that follow it, the ``STORE_EPOCH`` written
   under, the result kind, and a ``provenance`` stamp (the producing
   run's trace id, the key — which *is* the config signature digest —
-  and the epoch). A blob in any other layout fails its checksum and
-  reads as corrupt.
+  and the epoch). A blob in any other layout lacks the ``sha256``
+  field or fails its checksum and reads as corrupt; the older
+  all-text layout named that field ``checksum``, so each layout's
+  reader rejects the other's blobs.
 - ``index.jsonl`` — an append-only recency log (one JSON line per
   write). It orders the size-budgeted GC and backs ``caasper store ls``;
   the blobs themselves are the ground truth, so a lost or torn index
@@ -29,13 +33,13 @@ Durability and concurrency discipline (the file rules themselves are
   writers and is advisory, so its reader skips any torn or garbled
   line instead of refusing it.
 - **Corruption degrades to a miss.** A blob whose header fails to
-  parse, whose epoch is stale, or whose checksum mismatches is treated
-  as absent (and unlinked best effort); the caller recomputes. A
-  damaged cache can make runs slow, never wrong, and never crashes
-  them.
+  parse, whose epoch is stale, whose checksum mismatches, or whose
+  payload fails to unpack is treated as absent (and unlinked best
+  effort); the caller recomputes. A damaged cache can make runs slow,
+  never wrong, and never crashes them.
 
 There is no in-memory front: every hit reads its blob, verifies the
-checksum and decodes fresh result objects, so damage on disk is seen at
+checksum and unpacks fresh result objects, so damage on disk is seen at
 once and two callers can never observe each other's mutations through
 the cache.
 """
@@ -52,7 +56,12 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from ..durable import append_line, write_atomic
 from ..errors import StoreError
-from ..fleet.codec import encode
+from ..fleet.codec import pack, unpack
+
+# Unused here since ``put`` writes ``pack``'s payload; kept as a
+# module-level name because ``perfbench/layers.py`` resolves its
+# ``codec.encode`` hook target on this module.
+from ..fleet.codec import encode  # noqa: F401
 from ..obs.events import CacheEvictedEvent, CacheHitEvent, CacheMissEvent
 from .keys import STORE_EPOCH
 
@@ -75,24 +84,21 @@ def _index_line(key: str, kind: str, nbytes: int) -> str:
     return _canonical({"key": key, "kind": kind, "nbytes": nbytes}) + "\n"
 
 
-def _parse_blob(data: bytes) -> tuple[dict[str, Any], str] | None:
-    """``(header, payload text)`` of an intact blob, else ``None``.
+def _parse_blob(data: bytes) -> tuple[dict[str, Any], Any] | None:
+    """``(header, result)`` of an intact blob, else ``None``.
 
     Intact means the header line parses, carries the current
-    ``STORE_EPOCH``, and its checksum is the sha256 of exactly the
-    bytes after the first newline.
+    ``STORE_EPOCH``, its ``sha256`` is the digest of exactly the bytes
+    after the first newline, and those bytes unpack.
     """
     head, _, body = data.partition(b"\n")
     try:
         header = json.loads(head)
-        intact = (
-            header["epoch"] == STORE_EPOCH
-            and header["checksum"] == sha256(body).hexdigest()
-        )
-        payload_text = body.decode("utf-8")
+        if header["epoch"] != STORE_EPOCH or header["sha256"] != sha256(body).hexdigest():
+            return None
+        return header, unpack(body)
     except Exception:  # lint: disable=EXC001 - torn/garbled blob is corrupt
         return None
-    return (header, payload_text) if intact else None
 
 
 def default_store_root() -> Path:
@@ -185,15 +191,14 @@ class ResultStore:
         """Fetch and decode the result cached under ``key``.
 
         Returns ``None`` on a miss — an absent blob, or one whose header
-        does not parse or whose epoch or checksum mismatches (that file
-        is unlinked best effort so the slot heals on the next write).
-        Every hit decodes fresh objects from the stored canonical JSON;
+        does not parse, whose epoch or checksum mismatches, or whose
+        payload does not unpack (that file is unlinked best effort so
+        the slot heals on the next write). Every hit unpacks fresh
+        objects from the stored bytes;
         the hit event carries the blob's provenance stamp (producing
         run's trace id and store epoch) so cached results stay
         attributable.
         """
-        from ..fleet.codec import decode_json
-
         read = self._read_blob(key)
         if isinstance(read, str):
             self._stats_misses += 1
@@ -202,7 +207,7 @@ class ResultStore:
                     CacheMissEvent(minute=0, key=key, result_kind=kind, reason=read)
                 )
             return None
-        header, payload_text = read
+        header, value = read
         provenance = header["provenance"]
         self._stats_hits += 1
         if observer is not None:
@@ -215,10 +220,10 @@ class ResultStore:
                     producer_epoch=int(provenance.get("epoch", 0)),
                 )
             )
-        return decode_json(payload_text)
+        return value
 
-    def _read_blob(self, key: str) -> tuple[dict[str, Any], str] | str:
-        """``(header, payload text)`` for ``key``, else the miss reason.
+    def _read_blob(self, key: str) -> tuple[dict[str, Any], Any] | str:
+        """``(header, result)`` for ``key``, else the miss reason.
 
         The reason is ``"absent"`` or ``"corrupt"``; a corrupt blob has
         been unlinked best effort.
@@ -258,15 +263,15 @@ class ResultStore:
         ``producer_trace_id`` is itself derived deterministically from
         the run's inputs, keeping that invariant.
 
-        The payload is serialised once, and the header line before it
-        carries the sha256 of exactly those bytes. The header's
+        The payload is packed once (:func:`~repro.fleet.codec.pack`),
+        and the header line before it carries the sha256 of exactly
+        those bytes. The header's
         provenance stamp (trace id, key, epoch) rides outside the
         checksum: later ``get`` calls report which run computed the
         bytes they are serving.
         """
-        payload = _canonical(encode(value)).encode("utf-8")
+        payload = pack(value)
         header = {
-            "checksum": sha256(payload).hexdigest(),
             "epoch": STORE_EPOCH,
             "kind": kind,
             "provenance": {
@@ -274,6 +279,7 @@ class ResultStore:
                 "key": key,
                 "trace_id": producer_trace_id,
             },
+            "sha256": sha256(payload).hexdigest(),
         }
         data = _canonical(header).encode("utf-8") + b"\n" + payload
         path = self._blob_path(key)
@@ -448,7 +454,8 @@ class ResultStore:
         return len(blobs)
 
     def verify(self) -> dict[str, Any]:
-        """Check every blob's epoch and checksum; report without mutating.
+        """Check every blob's epoch, checksum and payload; report without
+        mutating.
 
         Returns ``{"checked", "ok", "corrupt": [keys...]}``. Use
         ``caasper store verify`` for the CLI form (exit 1 on damage).

@@ -308,6 +308,14 @@ class TestCodec:
         failure = JobFailure("j", "ValueError", "boom", "tb", "timeout")
         assert decode(encode(failure)) == failure
 
+    def test_caasper_config_extra_values_are_decoded(self):
+        config = CaasperConfig(extra={"w": np.array([0.5, -0.0]), "k": {"n": 3}})
+        restored = decode_json(canonical_json(config))
+        assert type(restored.extra["w"]) is np.ndarray
+        assert restored.extra["w"].tobytes() == config.extra["w"].tobytes()
+        assert restored.extra["k"] == {"n": 3}
+        assert canonical_json(restored) == canonical_json(config)
+
     def test_nested_containers(self):
         payload = {"a": [1, 2.5, None], "b": {"c": "x"}}
         assert decode(encode(payload)) == payload

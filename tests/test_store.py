@@ -17,9 +17,11 @@ import sys
 import time
 from hashlib import sha256
 
+import numpy as np
 import pytest
 
 from repro.errors import StoreError
+from repro.fleet.codec import canonical_json
 from repro.obs import Observer
 from repro.store import STORE_EPOCH, ResultStore, default_store_root, store_key
 
@@ -34,12 +36,50 @@ def store(tmp_path) -> ResultStore:
 
 
 def _single_document(blob: bytes) -> bytes:
-    """The same blob in the older layout: one JSON document whose
-    ``payload`` field holds the result next to the header fields."""
+    """The same blob in the oldest layout: one JSON document whose
+    ``payload`` field holds the result next to the header fields (the
+    array-free payload's skeleton line is that result's JSON)."""
     head, _, payload = blob.partition(b"\n")
     document = json.loads(head)
-    document["payload"] = json.loads(payload)
+    document["payload"] = json.loads(payload.partition(b"\n")[0])
     return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _text_blob(key: str, value) -> bytes:
+    """``value``'s blob in the all-text layout: a header whose
+    ``checksum`` covers the payload's canonical JSON."""
+    payload = canonical_json(value).encode()
+    header = {
+        "checksum": sha256(payload).hexdigest(),
+        "epoch": STORE_EPOCH,
+        "kind": "simulate",
+        "provenance": {"epoch": STORE_EPOCH, "key": key, "trace_id": ""},
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+
+
+def _text_layout_parse(data: bytes):
+    """The all-text layout's blob parser, as it read blobs before the
+    binary payload: ``(header, payload text)`` or ``None``."""
+    head, _, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+        intact = (
+            header["epoch"] == STORE_EPOCH
+            and header["checksum"] == sha256(body).hexdigest()
+        )
+        payload_text = body.decode("utf-8")
+    except Exception:
+        return None
+    return (header, payload_text) if intact else None
+
+
+def _reseal(blob: bytes, payload: bytes) -> bytes:
+    """``blob``'s header over a different payload, checksum recomputed:
+    intact to the checksum, so only unpacking can reject it."""
+    header = json.loads(blob.partition(b"\n")[0])
+    header["sha256"] = sha256(payload).hexdigest()
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
 
 
 class TestRoundTrip:
@@ -50,7 +90,7 @@ class TestRoundTrip:
         blob = store._blob_path(key).read_bytes()
         assert nbytes == len(blob)
         head, _, body = blob.partition(b"\n")
-        assert json.loads(head)["checksum"] == sha256(body).hexdigest()
+        assert json.loads(head)["sha256"] == sha256(body).hexdigest()
         assert store.get(key, "simulate") == payload
 
     def test_absent_key_is_a_miss(self, store):
@@ -105,9 +145,68 @@ class TestCorruption:
         store.put(key, "simulate", {"x": 1})
         path = store._blob_path(key)
         blob = path.read_bytes()
-        assert blob.endswith(b'{"x":1}')
-        path.write_bytes(blob[:-2] + b"2}")  # tampered payload, stale checksum
+        assert blob.endswith(b'{"x":1}\n')  # skeleton line, no arrays
+        path.write_bytes(blob[:-3] + b"2}\n")  # tampered payload, stale checksum
         assert store.get(key, "simulate") is None
+
+    def test_tampered_array_bytes_are_a_miss(self, store):
+        key = _key("a")
+        store.put(key, "simulate", {"x": np.arange(4.0)})
+        path = store._blob_path(key)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+        assert store.get(key, "simulate") is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"__fleet__":"no_such_tag"}\n',  # unknown codec tag
+            b'{"__fleet__":"ndarray","n":3}\n' + bytes(16),  # n past the tail
+            b'{"__fleet__":"ndarray","n":1}\n' + bytes(16),  # bytes after last array
+            b'{"__fleet__":"ndarray","n":-1}\n',  # negative length
+            b'{"x":1}',  # no skeleton newline
+        ],
+        ids=["unknown-tag", "short-tail", "trailing-bytes", "negative-n", "no-newline"],
+    )
+    def test_intact_blob_that_fails_to_unpack_is_a_miss(self, store, payload):
+        """A valid header and checksum over a payload that does not
+        unpack is corrupt: a miss, unlinked, healed by the next put."""
+        key = _key("a")
+        store.put(key, "simulate", {"x": 1})
+        self._poison(store, key, _reseal(store._blob_path(key).read_bytes(), payload))
+        observer = Observer()
+        assert store.get(key, "simulate", observer=observer) is None
+        [miss] = observer.events_of_kind("cache_miss")
+        assert miss.reason == "corrupt"
+        assert not store._blob_path(key).exists()
+        store.put(key, "simulate", {"x": 1})
+        assert store.get(key, "simulate") == {"x": 1}
+
+    def test_text_layout_blob_is_a_corrupt_miss_that_heals(self, store):
+        key = _key("a")
+        value = {"x": np.arange(3.0)}
+        store.put(key, "simulate", value)
+        self._poison(store, key, _text_blob(key, value))
+        assert store.verify()["corrupt"] == [key]
+        observer = Observer()
+        assert store.get(key, "simulate", observer=observer) is None
+        [miss] = observer.events_of_kind("cache_miss")
+        assert miss.reason == "corrupt"
+        assert not store._blob_path(key).exists()
+        store.put(key, "simulate", value)
+        assert canonical_json(store.get(key, "simulate")) == canonical_json(value)
+
+    def test_text_layout_reader_rejects_binary_blob_without_raising(self, store):
+        """An all-zero float64 array is valid UTF-8, so only the renamed
+        ``sha256`` field keeps the text-layout reader from handing the
+        binary payload to its JSON decoder."""
+        key = _key("a")
+        store.put(key, "simulate", {"x": np.zeros(4)})
+        blob = store._blob_path(key).read_bytes()
+        blob.partition(b"\n")[2].decode("utf-8")  # the trap: it does decode
+        assert _text_layout_parse(blob) is None
+        # The text layout's own blob is still accepted by that reader.
+        assert _text_layout_parse(_text_blob(key, {"x": 1})) is not None
 
     def test_epoch_mismatch_is_a_miss(self, store):
         key = _key("a")
