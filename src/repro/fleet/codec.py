@@ -188,7 +188,8 @@ def unpack(data: bytes) -> Any:
         end = offset + count * _FLOAT64_LE.itemsize
         if end > len(view):
             raise FleetError("packed payload is shorter than its arrays")
-        leaf["values"] = np.frombuffer(view[offset:end], dtype=_FLOAT64_LE).astype(float)
+        chunk = np.frombuffer(view[offset:end], dtype=_FLOAT64_LE)
+        leaf["values"] = chunk.astype(float)  # a copy: fresh and writable
         offset = end
     if offset != len(view):
         raise FleetError("packed payload has bytes after its last array")

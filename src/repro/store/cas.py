@@ -94,7 +94,10 @@ def _parse_blob(data: bytes) -> tuple[dict[str, Any], Any] | None:
     head, _, body = data.partition(b"\n")
     try:
         header = json.loads(head)
-        if header["epoch"] != STORE_EPOCH or header["sha256"] != sha256(body).hexdigest():
+        if (
+            header["epoch"] != STORE_EPOCH
+            or header["sha256"] != sha256(body).hexdigest()
+        ):
             return None
         return header, unpack(body)
     except Exception:  # lint: disable=EXC001 - torn/garbled blob is corrupt
@@ -194,10 +197,9 @@ class ResultStore:
         does not parse, whose epoch or checksum mismatches, or whose
         payload does not unpack (that file is unlinked best effort so
         the slot heals on the next write). Every hit unpacks fresh
-        objects from the stored bytes;
-        the hit event carries the blob's provenance stamp (producing
-        run's trace id and store epoch) so cached results stay
-        attributable.
+        objects from the stored bytes; the hit event carries the blob's
+        provenance stamp (producing run's trace id and store epoch) so
+        cached results stay attributable.
         """
         read = self._read_blob(key)
         if isinstance(read, str):
@@ -265,10 +267,9 @@ class ResultStore:
 
         The payload is packed once (:func:`~repro.fleet.codec.pack`),
         and the header line before it carries the sha256 of exactly
-        those bytes. The header's
-        provenance stamp (trace id, key, epoch) rides outside the
-        checksum: later ``get`` calls report which run computed the
-        bytes they are serving.
+        those bytes. The header's provenance stamp (trace id, key,
+        epoch) rides outside the checksum: later ``get`` calls report
+        which run computed the bytes they are serving.
         """
         payload = pack(value)
         header = {

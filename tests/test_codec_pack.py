@@ -29,12 +29,14 @@ _SPECIALS = [float("nan"), 0.0, -0.0, float("inf"), float("-inf")]
 float64_arrays = arrays(
     dtype=np.float64,
     shape=st.integers(min_value=0, max_value=40),
-    elements=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_SPECIALS),
+    elements=st.floats() | st.sampled_from(_SPECIALS),
 )
 any_arrays = st.one_of(
     float64_arrays,
     arrays(dtype=np.float32, shape=st.integers(0, 12), elements=st.floats(width=32)),
-    arrays(dtype=np.int64, shape=st.integers(0, 12), elements=st.integers(-(2**40), 2**40)),
+    arrays(
+        dtype=np.int64, shape=st.integers(0, 12), elements=st.integers(-(2**40), 2**40)
+    ),
 )
 leaves = st.one_of(
     any_arrays,
@@ -173,8 +175,8 @@ class TestUnpackRejects:
             (b'{"__fleet__":"ndarray","n":2}\n' + bytes(8), "shorter"),
             (b'{"__fleet__":"ndarray","n":1}\n' + bytes(9), "after its last array"),
             (b'{"x":1}\n' + bytes(8), "after its last array"),
-            (b'{"__fleet__":"ndarray","n":1.0}\n' + bytes(8), "bad packed array length"),
-            (b'{"__fleet__":"ndarray","n":true}\n' + bytes(8), "bad packed array length"),
+            (b'{"__fleet__":"ndarray","n":1.0}\n' + bytes(8), "bad packed array"),
+            (b'{"__fleet__":"ndarray","n":true}\n' + bytes(8), "bad packed array"),
             (b'{"__fleet__":"no_such_tag"}\n', "unknown fleet codec tag"),
         ],
     )

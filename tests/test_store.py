@@ -35,6 +35,10 @@ def store(tmp_path) -> ResultStore:
     return ResultStore(tmp_path / "cas")
 
 
+def _canonical_bytes(document) -> bytes:
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _single_document(blob: bytes) -> bytes:
     """The same blob in the oldest layout: one JSON document whose
     ``payload`` field holds the result next to the header fields (the
@@ -42,7 +46,7 @@ def _single_document(blob: bytes) -> bytes:
     head, _, payload = blob.partition(b"\n")
     document = json.loads(head)
     document["payload"] = json.loads(payload.partition(b"\n")[0])
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode()
+    return _canonical_bytes(document)
 
 
 def _text_blob(key: str, value) -> bytes:
@@ -55,7 +59,7 @@ def _text_blob(key: str, value) -> bytes:
         "kind": "simulate",
         "provenance": {"epoch": STORE_EPOCH, "key": key, "trace_id": ""},
     }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+    return _canonical_bytes(header) + b"\n" + payload
 
 
 def _text_layout_parse(data: bytes):
@@ -79,7 +83,7 @@ def _reseal(blob: bytes, payload: bytes) -> bytes:
     intact to the checksum, so only unpacking can reject it."""
     header = json.loads(blob.partition(b"\n")[0])
     header["sha256"] = sha256(payload).hexdigest()
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + payload
+    return _canonical_bytes(header) + b"\n" + payload
 
 
 class TestRoundTrip:
