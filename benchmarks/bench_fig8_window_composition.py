@@ -28,7 +28,7 @@ def test_fig8_window_composition(once):
     assert result.period2.forecast_minutes == (
         result.config.forecast_horizon_minutes
     )
-    assert result.period2.window.minutes == (
+    assert result.period2.window.size == (
         result.config.history_tail_minutes
         + result.config.forecast_horizon_minutes
     )
@@ -36,8 +36,8 @@ def test_fig8_window_composition(once):
     # The pre-spike snapshot: the observed head is calm, the forecast
     # tail carries the upcoming ~12-core spike.
     window = result.before_spike.window
-    observed_head = window.samples[: result.before_spike.observed_minutes]
-    forecast_tail = window.samples[result.before_spike.observed_minutes :]
+    observed_head = window[: result.before_spike.observed_minutes]
+    forecast_tail = window[result.before_spike.observed_minutes :]
     assert observed_head.max() < 9.0
     assert forecast_tail.max() > 10.0
 
@@ -46,8 +46,8 @@ def test_fig8_window_composition(once):
         wall_seconds=walls,
         kcn={},
         extra={
-            "period1_window_minutes": result.period1.window.minutes,
-            "period2_window_minutes": result.period2.window.minutes,
+            "period1_window_minutes": result.period1.window.size,
+            "period2_window_minutes": result.period2.window.size,
             "forecast_horizon_minutes": (
                 result.config.forecast_horizon_minutes
             ),

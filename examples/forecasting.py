@@ -39,7 +39,7 @@ def main() -> None:
     # reactive window sees only calm recent usage, while the combined
     # window already contains the forecasted spike.
     spike_minute = 2 * MINUTES_PER_DAY + 12 * 60 + 50
-    history_before_spike = demand.window(0, spike_minute)
+    history_before_spike = demand.samples[:spike_minute]
 
     config = CaasperConfig(
         max_cores=16,
@@ -51,10 +51,10 @@ def main() -> None:
     builder = ProactiveWindowBuilder(config)
     combined = builder.build(history_before_spike)
 
-    reactive_view = history_before_spike.window(-config.window_minutes)
+    reactive_view = history_before_spike[-config.window_minutes :]
     print("10 minutes before the day-3 spike:")
-    print(f"  reactive window max:  {reactive_view.peak():5.2f} cores")
-    print(f"  combined window max:  {combined.window.peak():5.2f} cores "
+    print(f"  reactive window max:  {reactive_view.max():5.2f} cores")
+    print(f"  combined window max:  {combined.window.max():5.2f} cores "
           f"({combined.forecast_minutes} forecast minutes appended)")
     print("  -> the combined window's PvP-curve already demands the "
           "spike capacity, so CaaSPER scales up before the load arrives")

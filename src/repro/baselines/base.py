@@ -27,7 +27,19 @@ import numpy as np
 from ..errors import ConfigError
 from ..trace import CpuTrace, validate_usage_sample
 
-__all__ = ["Recommender", "WindowedRecommender"]
+__all__ = ["Recommender", "WindowedRecommender", "window_summary"]
+
+
+def window_summary(usage: np.ndarray) -> dict[str, float] | None:
+    """The ``window_stats`` summary of a usage window (``None`` when empty)."""
+    if usage.size == 0:
+        return None
+    return {
+        "samples": float(usage.size),
+        "mean_cores": float(usage.mean()),
+        "max_cores": float(usage.max()),
+        "p95_cores": float(np.percentile(usage, 95.0)),
+    }
 
 
 class Recommender(ABC):
@@ -181,12 +193,4 @@ class WindowedRecommender(Recommender):
 
     def window_stats(self) -> dict[str, float] | None:
         """Usage-window summary for the observability decision trail."""
-        if not self._usage:
-            return None
-        usage = self.usage_window
-        return {
-            "samples": float(usage.size),
-            "mean_cores": float(usage.mean()),
-            "max_cores": float(usage.max()),
-            "p95_cores": float(np.percentile(usage, 95.0)),
-        }
+        return window_summary(self.usage_window)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ForecastError
 from ..forecast.base import Forecaster
 from ..forecast.registry import make_forecaster
@@ -32,6 +34,15 @@ from .config import CaasperConfig
 __all__ = ["ProactiveWindowBuilder", "CombinedWindow"]
 
 
+def _as_trace(history: np.ndarray) -> CpuTrace:
+    """The history as a trace for the forecaster and period detection.
+
+    Built over a view: the trace marks its samples read-only, and that
+    must not reach the caller's array.
+    """
+    return CpuTrace(history.view(), name="history")
+
+
 @dataclass(frozen=True, eq=False)
 class CombinedWindow:
     """The Eq. 4 input window plus its provenance (for interpretability).
@@ -39,7 +50,7 @@ class CombinedWindow:
     Attributes
     ----------
     window:
-        The combined trace handed to Algorithm 1.
+        The combined window handed to Algorithm 1, as a 1-D float array.
     observed_minutes:
         Length of the observed tail included.
     forecast_minutes:
@@ -48,7 +59,7 @@ class CombinedWindow:
         True when a forecast actually contributed.
     """
 
-    window: CpuTrace
+    window: np.ndarray
     observed_minutes: int
     forecast_minutes: int
     used_forecast: bool
@@ -87,12 +98,12 @@ class ProactiveWindowBuilder:
         self._forecaster = forecaster
         self._detected_period: int | None = None
 
-    def _resolve_period(self, history: CpuTrace) -> int | None:
+    def _resolve_period(self, history: np.ndarray) -> int | None:
         """Seasonal period: configured value, else ACF auto-detection."""
         if self.config.seasonal_period_minutes is not None:
             return self.config.seasonal_period_minutes
         if self._detected_period is None:
-            self._detected_period = detect_period(history)
+            self._detected_period = detect_period(_as_trace(history))
         return self._detected_period
 
     def _resolve_forecaster(self, period: int | None) -> Forecaster:
@@ -104,76 +115,69 @@ class ProactiveWindowBuilder:
         self._forecaster = make_forecaster(self.config.forecaster, **kwargs)
         return self._forecaster
 
-    def ready(self, history: CpuTrace) -> bool:
+    def ready(self, history: np.ndarray) -> bool:
         """True once one full seasonal period of history is available."""
         if not self.config.proactive:
             return False
         period = self._resolve_period(history)
         if period is None:
             return False
-        return history.minutes >= period
+        return history.size >= period
 
-    def build(self, history: CpuTrace) -> CombinedWindow:
-        """Produce the Algorithm 1 input window from the full history.
+    def build(self, history: np.ndarray) -> CombinedWindow:
+        """Produce the Algorithm 1 input window from the retained usage.
 
-        Falls back to the plain reactive window whenever proactive mode is
-        off, the seasonality gate is closed, or the forecaster declines
-        (insufficient history) — never fails the decision itself.
+        ``history`` is the retained usage, oldest first, as a 1-D float
+        array; only the forecaster sees it as a
+        :class:`~repro.trace.CpuTrace`. Falls back to the plain reactive
+        window whenever proactive mode is off, the seasonality gate is
+        closed, the forecaster declines (insufficient history) or the
+        §8 quality gate rejects its band — never fails the decision
+        itself.
         """
         config = self.config
-        observed_tail = min(history.minutes, config.window_minutes)
+        if self.ready(history):
+            horizon = self._forecast(_as_trace(history))
+            if horizon is not None:
+                tail = min(history.size, config.history_tail_minutes)
+                return CombinedWindow(
+                    window=np.concatenate([history[-tail:], horizon]),
+                    observed_minutes=tail,
+                    forecast_minutes=int(horizon.size),
+                    used_forecast=True,
+                )
+        observed = min(history.size, config.window_minutes)
+        return CombinedWindow(
+            window=history[-observed:],
+            observed_minutes=observed,
+            forecast_minutes=0,
+            used_forecast=False,
+        )
 
-        if not self.ready(history):
-            return CombinedWindow(
-                window=history.window(-observed_tail),
-                observed_minutes=observed_tail,
-                forecast_minutes=0,
-                used_forecast=False,
-            )
-
-        period = self._resolve_period(history)
-        forecaster = self._resolve_forecaster(period)
+    def _forecast(self, history: CpuTrace) -> np.ndarray | None:
+        """The forecast horizon, or ``None`` to stay reactive this decision."""
+        config = self.config
+        forecaster = self._resolve_forecaster(self._resolve_period(history.samples))
         try:
             if self.fault_gate is not None:
                 self.fault_gate()
-            if config.forecast_confidence is not None:
-                with span(f"forecast.{forecaster.name}.predict_interval"):
-                    interval = forecaster.forecast_interval(
-                        history,
-                        config.forecast_horizon_minutes,
-                        confidence=config.forecast_confidence,
-                    )
-                gate = config.forecast_quality_gate
-                if gate is not None and interval.relative_width() > gate:
-                    # §8 prefilter: the model's band is too wide to
-                    # trust — stay reactive for this decision.
-                    return CombinedWindow(
-                        window=history.window(-observed_tail),
-                        observed_minutes=observed_tail,
-                        forecast_minutes=0,
-                        used_forecast=False,
-                    )
-                # Conservative: feed the upper band into Algorithm 1 so
-                # uncertain forecasts err toward capacity.
-                horizon = interval.upper
-            else:
+            if config.forecast_confidence is None:
                 with span(f"forecast.{forecaster.name}.predict"):
-                    horizon = forecaster.forecast(
+                    return forecaster.forecast(
                         history, config.forecast_horizon_minutes
                     )
+            with span(f"forecast.{forecaster.name}.predict_interval"):
+                interval = forecaster.forecast_interval(
+                    history,
+                    config.forecast_horizon_minutes,
+                    confidence=config.forecast_confidence,
+                )
         except ForecastError:
-            return CombinedWindow(
-                window=history.window(-observed_tail),
-                observed_minutes=observed_tail,
-                forecast_minutes=0,
-                used_forecast=False,
-            )
-
-        tail = min(history.minutes, config.history_tail_minutes)
-        combined = history.window(-tail).extend(horizon)
-        return CombinedWindow(
-            window=combined,
-            observed_minutes=tail,
-            forecast_minutes=int(horizon.size),
-            used_forecast=True,
-        )
+            return None
+        gate = config.forecast_quality_gate
+        if gate is not None and interval.relative_width() > gate:
+            # §8 prefilter: the model's band is too wide to trust.
+            return None
+        # Conservative: feed the upper band into Algorithm 1 so uncertain
+        # forecasts err toward capacity.
+        return interval.upper

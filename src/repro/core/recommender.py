@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from ..baselines.base import Recommender
+from ..baselines.base import Recommender, window_summary
 from ..errors import ConfigError
 from ..forecast.base import Forecaster
 from ..trace import CpuTrace, validate_usage_sample
@@ -72,7 +72,6 @@ class CaasperRecommender(Recommender):
         self._window_builder = ProactiveWindowBuilder(self.config, forecaster)
         self._last_decision: ReactiveDecision | None = None
         self._usage: deque[float] = deque(maxlen=history_capacity(self.config))
-        self._first_minute: int | None = None
         self._last_minute: int | None = None
         if self.config.proactive:
             self.name = "caasper-proactive"
@@ -89,10 +88,6 @@ class CaasperRecommender(Recommender):
         if self._last_minute is not None and minute == self._last_minute:
             self._usage[-1] = float(usage)
             return
-        if self._first_minute is None:
-            self._first_minute = minute
-        if len(self._usage) == self._usage.maxlen:
-            self._first_minute = (self._first_minute or 0) + 1
         self._last_minute = minute
         self._usage.append(float(usage))
 
@@ -105,7 +100,6 @@ class CaasperRecommender(Recommender):
 
     def reset(self) -> None:
         self._usage.clear()
-        self._first_minute = None
         self._last_minute = None
         self._last_decision = None
 
@@ -118,14 +112,6 @@ class CaasperRecommender(Recommender):
         return super().store_payload()
 
     # -- CaaSPER-specific API ------------------------------------------------------
-
-    def history(self) -> CpuTrace:
-        """The retained usage history as a trace."""
-        return CpuTrace(
-            np.asarray(self._usage, dtype=float),
-            name="history",
-            start_minute=self._first_minute or 0,
-        )
 
     def batchable_snapshot(self) -> CaasperConfig | None:
         """The config driving this recommender, if a batch engine may
@@ -146,8 +132,8 @@ class CaasperRecommender(Recommender):
         """The retained usage history as a flat float array (oldest first)."""
         return np.asarray(self._usage, dtype=float)
 
-    def decision_window(self) -> CpuTrace:
-        """The Algorithm 1 input window for a decision now.
+    def decision_window(self) -> np.ndarray:
+        """The Algorithm 1 input window for a decision now, as a float array.
 
         The reactive tail of the history, or the Eq. 4 combined window
         once proactive mode is ready — including the forecast fault gate
@@ -155,27 +141,18 @@ class CaasperRecommender(Recommender):
         decides on it; callers that batch decisions through the kernels
         (the serve plane) read it directly.
         """
-        return self._window_builder.build(self.history()).window
+        return self._window_builder.build(self.usage_window()).window
 
     def decide(self, current_cores: int) -> ReactiveDecision:
         """Run one full CaaSPER decision against the retained history."""
-        decision = self.policy.decide(
-            current_cores, self.decision_window(), truncate_window=False
-        )
+        window = CpuTrace(self.decision_window(), name="window")
+        decision = self.policy.decide(current_cores, window, truncate_window=False)
         self._last_decision = decision
         return decision
 
     def window_stats(self) -> dict[str, float] | None:
         """History summary for the observability decision trail."""
-        if not self._usage:
-            return None
-        usage = np.asarray(self._usage, dtype=float)
-        return {
-            "samples": float(usage.size),
-            "mean_cores": float(usage.mean()),
-            "max_cores": float(usage.max()),
-            "p95_cores": float(np.percentile(usage, 95.0)),
-        }
+        return window_summary(self.usage_window())
 
     @property
     def last_decision(self) -> ReactiveDecision | None:

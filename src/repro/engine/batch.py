@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from types import EllipsisType
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -138,6 +139,29 @@ def _build_cohorts(jobs: Sequence[EngineJob]) -> list[_Cohort]:
             )
         )
     return cohorts
+
+
+def _consult_window(
+    cohort: _Cohort, usage: np.ndarray, rows: np.ndarray | EllipsisType, minute: int
+) -> np.ndarray:
+    """The Algorithm 1 input window of ``usage[rows]`` decided at ``minute``.
+
+    ``usage`` is ``(lanes, minutes)`` with ``rows`` the deciding lanes,
+    or one lane's series with ``rows=...``. Before the seasonal gate (or
+    in reactive mode) the window is the last ``window_minutes`` of
+    usage; past it, the Eq. 4 window: the observed tail followed by the
+    naive-seasonal horizon, the last period tiled and clipped at zero.
+    Bit-equal to ``ProactiveWindowBuilder(config).build(history).window``
+    with the history the recommender would retain at ``minute``.
+    """
+    end = minute + 1
+    if cohort.proactive and end >= cohort.period:
+        tail = min(end, cohort.maxlen, cohort.history_tail)
+        last_period = usage[rows, end - cohort.period : end]
+        horizon = np.maximum(last_period[..., cohort.hidx], 0.0)
+        return np.concatenate([usage[rows, end - tail : end], horizon], axis=-1)
+    n = min(end, cohort.window_minutes)
+    return usage[rows, end - n : end]
 
 
 def decide_cohort(
@@ -304,11 +328,7 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
     max_cores = config.max_cores
     ks = np.arange(1, max_cores + 1)
     rounding = rounding_code(config.rounding.value)
-    if config.proactive:
-        period = config.seasonal_period_minutes
-        assert period is not None  # vectorizable() guarantees it
-        maxlen = history_capacity(config)
-        hidx = np.arange(config.forecast_horizon_minutes) % period
+    (cohort,) = _build_cohorts([job])
 
     limit = int(sim.initial_cores)
     pending = -1
@@ -352,18 +372,8 @@ def _simulate_lane(job: EngineJob) -> SimulationResult:
         if minute == grid_minute:
             grid_minute += interval
             if pending < 0 and minute - last_enacted >= cooldown:
-                if config.proactive and minute + 1 >= period:
-                    tail = min(min(minute + 1, maxlen), config.history_tail_minutes)
-                    last_period = usage[minute + 1 - period : minute + 1]
-                    horizon = np.maximum(last_period[hidx], 0.0)
-                    window = np.concatenate(
-                        [usage[minute + 1 - tail : minute + 1], horizon]
-                    )
-                else:
-                    n = min(minute + 1, config.window_minutes)
-                    window = usage[minute + 1 - n : minute + 1]
                 target = decide_lane(
-                    window,
+                    _consult_window(cohort, usage, ..., minute),
                     limit,
                     s_high=config.s_high,
                     s_low=config.s_low,
@@ -549,18 +559,8 @@ def _decide_cohorts(
         idx = cohort.lanes[due[cohort.lanes]]
         if idx.size == 0:
             continue
-        if cohort.proactive and minute + 1 >= cohort.period:
-            tail = min(min(minute + 1, cohort.maxlen), cohort.history_tail)
-            last_period = usage[idx, minute + 1 - cohort.period : minute + 1]
-            horizon = np.maximum(last_period[:, cohort.hidx], 0.0)
-            window = np.concatenate(
-                [usage[idx, minute + 1 - tail : minute + 1], horizon], axis=1
-            )
-        else:
-            n = min(minute + 1, cohort.window_minutes)
-            window = usage[idx, minute + 1 - n : minute + 1]
         targets = decide_cohort(
-            window,
+            _consult_window(cohort, usage, idx, minute),
             limit[idx],
             params.gather(idx),
             cohort.max_cores,

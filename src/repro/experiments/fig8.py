@@ -53,7 +53,7 @@ def run(
 
     def window_at(minute: int) -> CombinedWindow:
         builder = ProactiveWindowBuilder(config)
-        return builder.build(demand.window(0, minute))
+        return builder.build(demand.samples[:minute])
 
     spike_hour = 13.0
     return Fig8Result(
@@ -72,7 +72,7 @@ def _describe(label: str, window: CombinedWindow) -> str:
     return (
         f"  {label:<22} {mode:<9} observed={window.observed_minutes:>3} min"
         f"  forecast={window.forecast_minutes:>3} min"
-        f"  window max={window.window.peak():5.2f} cores"
+        f"  window max={window.window.max():5.2f} cores"
     )
 
 

@@ -20,8 +20,9 @@ whose bytes are pinned; JSON-native nests of all of these pass through.
 over the same encoding: the canonical JSON of :func:`encode`'s tree
 with each ndarray leaf's ``values`` replaced by its length ``n``, a
 ``\n``, then every array's little-endian float64 bytes in the order a
-sorted-key walk of that skeleton meets them. Floats skip the text
-round trip, so a store hit or write costs a fraction of
+sorted-key walk of that skeleton meets them. :func:`pack` runs the
+:func:`encode` walk with each array left as it is, so floats skip the
+text round trip and a store hit or write costs a fraction of
 :func:`canonical_json` / :func:`decode_json` for array-heavy results.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -58,6 +59,13 @@ _TAGS = {cls: tag for tag, cls in _CLASSES.items()}
 
 def encode(value: Any) -> Any:
     """Convert a job result into JSON-native data (tagged where needed)."""
+    return _encode(value, np.ndarray.tolist)
+
+
+def _encode(value: Any, array_values: Callable[[np.ndarray], Any]) -> Any:
+    """The :func:`encode` walk; ``array_values`` maps each float64 array
+    to its leaf's ``values`` (a list for JSON, the array itself for
+    :func:`pack`)."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, np.floating):
@@ -65,21 +73,23 @@ def encode(value: Any) -> Any:
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.ndarray):
-        return {_TAG: "ndarray", "values": np.asarray(value, dtype=float).tolist()}
+        return {_TAG: "ndarray", "values": array_values(np.asarray(value, dtype=float))}
     if isinstance(value, (list, tuple)):
-        return [encode(item) for item in value]
+        return [_encode(item, array_values) for item in value]
     tag = _TAGS.get(type(value))
     if tag is not None:
         encoded = {_TAG: tag}
         for spec in dataclasses.fields(value):
-            encoded[spec.name] = encode(getattr(value, spec.name))
+            encoded[spec.name] = _encode(getattr(value, spec.name), array_values)
         return encoded
     if isinstance(value, CaasperConfig):
         payload = value.as_dict()  # rounding already flattened to its value
-        payload["extra"] = {str(k): encode(v) for k, v in value.extra.items()}
+        payload["extra"] = {
+            str(k): _encode(v, array_values) for k, v in value.extra.items()
+        }
         return {_TAG: "caasper_config", "fields": payload}
     if isinstance(value, Mapping):
-        return {str(key): encode(item) for key, item in value.items()}
+        return {str(key): _encode(item, array_values) for key, item in value.items()}
     raise FleetError(
         f"cannot encode result of type {type(value).__name__} for the "
         "fleet journal"
@@ -155,7 +165,7 @@ def pack(value: Any) -> bytes:
     Inverse of :func:`unpack`; ``canonical_json(unpack(pack(v)))``
     equals ``canonical_json(v)``.
     """
-    tree = encode(value)
+    tree = _encode(value, lambda array: array)
     chunks = []
     for leaf in _array_leaves(tree):
         array = np.asarray(leaf.pop("values"), dtype=_FLOAT64_LE)

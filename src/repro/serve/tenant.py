@@ -99,7 +99,7 @@ class GuardedControlLoop(ResilientControlLoop):
             return
         self.breaker.record_success(minute)
         current = max(int(round(outcome.client_limit_cores)), 1)
-        self.due = DueConsult(minute, current, window.samples)
+        self.due = DueConsult(minute, current, window)
 
     def reset(self) -> None:
         super().reset()

@@ -7,6 +7,7 @@ from repro.core import CaasperConfig, CaasperRecommender
 from repro.errors import ConfigError, TraceError
 from repro.obs import Observer
 from repro.sim import SimulatorConfig, simulate_trace
+from repro.trace import CpuTrace
 
 
 def recommender(**kwargs):
@@ -24,9 +25,7 @@ class TestObservation:
     def test_history_accumulates(self):
         rec = recommender()
         feed(rec, [1.0, 2.0, 3.0], limit=4)
-        history = rec.history()
-        assert history.minutes == 3
-        assert list(history) == [1.0, 2.0, 3.0]
+        assert rec.usage_window().tolist() == [1.0, 2.0, 3.0]
 
     def test_rejects_negative_usage(self):
         with pytest.raises(TraceError):
@@ -46,19 +45,19 @@ class TestObservation:
         rec = recommender()
         rec.observe(0, 1.0, 4)
         rec.observe(0, 2.0, 4)
-        assert list(rec.history()) == [2.0]
+        assert rec.usage_window().tolist() == [2.0]
 
     def test_history_bounded_for_reactive(self):
         rec = recommender(window_minutes=10)
         feed(rec, range(100), limit=4)
-        assert rec.history().minutes == 10
+        assert rec.usage_window().size == 10
 
     def test_history_bounded_for_proactive(self):
         rec = recommender(
             proactive=True, seasonal_period_minutes=50, window_minutes=10
         )
         feed(rec, np.ones(500), limit=4)
-        assert rec.history().minutes == 150  # 3 periods
+        assert rec.usage_window().size == 150  # 3 periods
 
     def test_reset_clears_everything(self):
         rec = recommender()
@@ -147,3 +146,36 @@ class TestProactiveIntegration:
             rec.observe(minute, 1.0, 12)
         target = rec.recommend(period + 90, 3)
         assert target > 3  # pre-scaled despite calm recent usage
+
+
+class TestDecisionWindow:
+    @pytest.fixture
+    def traces_built(self, monkeypatch):
+        """Every ``CpuTrace`` constructed while the fixture is active."""
+        built = []
+        validate = CpuTrace.__post_init__
+
+        def counting(trace):
+            built.append(trace)
+            validate(trace)
+
+        monkeypatch.setattr(CpuTrace, "__post_init__", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "kwargs, minutes, most",
+        [
+            ({}, 100, 0),
+            ({"proactive": True, "seasonal_period_minutes": 50}, 30, 0),
+            ({"proactive": True, "seasonal_period_minutes": 50}, 200, 1),
+        ],
+        ids=["reactive", "pre-gate", "past-gate"],
+    )
+    def test_builds_at_most_the_forecaster_trace(
+        self, traces_built, kwargs, minutes, most
+    ):
+        rec = recommender(**kwargs)
+        feed(rec, np.linspace(1.0, 6.0, minutes), limit=4)
+        window = rec.decision_window()
+        assert isinstance(window, np.ndarray) and window.ndim == 1
+        assert len(traces_built) <= most

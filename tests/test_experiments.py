@@ -149,7 +149,7 @@ class TestFig8:
         result = fig8.run()
         assert not result.period1.used_forecast
         assert result.period2.used_forecast
-        assert result.before_spike.window.peak() > 10.0
+        assert result.before_spike.window.max() > 10.0
 
     def test_render(self):
         assert "Eq. 4" in fig8.render(fig8.run())

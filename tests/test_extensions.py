@@ -215,21 +215,20 @@ class TestConfidencePrefilter:
 
     def test_upper_band_used_when_confident(self):
         demand = cyclical_days(days=2, sigma=0.1, seed=4)
-        point = ProactiveWindowBuilder(self.make_config()).build(demand)
+        point = ProactiveWindowBuilder(self.make_config()).build(demand.samples)
         conservative = ProactiveWindowBuilder(
             self.make_config(forecast_confidence=0.95)
-        ).build(demand)
+        ).build(demand.samples)
         assert point.used_forecast and conservative.used_forecast
         # The conservative window's forecast tail sits above the point one.
         assert (
-            conservative.window.samples[-60:].mean()
-            > point.window.samples[-60:].mean()
+            conservative.window[-60:].mean() > point.window[-60:].mean()
         )
 
     def test_quality_gate_blocks_noisy_forecasts(self):
         rng = np.random.default_rng(5)
         # Seasonal gate satisfied but the signal is nearly pure noise.
-        noise = CpuTrace(rng.uniform(0.1, 8.0, 2 * MINUTES_PER_DAY))
+        noise = rng.uniform(0.1, 8.0, 2 * MINUTES_PER_DAY)
         gated = ProactiveWindowBuilder(
             self.make_config(
                 forecast_confidence=0.9, forecast_quality_gate=0.3
@@ -243,7 +242,7 @@ class TestConfidencePrefilter:
             self.make_config(
                 forecast_confidence=0.9, forecast_quality_gate=0.5
             )
-        ).build(demand)
+        ).build(demand.samples)
         assert passed.used_forecast
 
     def test_config_validation(self):

@@ -341,9 +341,9 @@ class TestSafeMode:
             live_config(),
             faults=plan,
         )
-        history = recommender.history()
-        assert history.minutes == 40  # 60 minutes minus the 20 corrupted
-        assert np.isfinite(history.samples).all()
+        history = recommender.usage_window()
+        assert history.size == 40  # 60 minutes minus the 20 corrupted
+        assert np.isfinite(history).all()
 
 
 class TestRetryIntegration:
